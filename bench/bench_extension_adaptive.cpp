@@ -17,7 +17,6 @@
 
 #include "bench_util.hpp"
 #include "colorbars/adapt/simulator.hpp"
-#include "colorbars/svc/service.hpp"
 
 using namespace colorbars;
 
@@ -109,8 +108,6 @@ double phase_goodput(const PolicyOutcome& outcome, std::size_t p) {
 }  // namespace
 
 int main() {
-  svc::maybe_run_worker();  // this binary is its own grid worker
-
   bench::print_header(
       "Extension: adaptive rate control vs fixed rungs (range+occlusion walk)");
   bench::JsonReport report("extension_adaptive");
@@ -123,36 +120,17 @@ int main() {
   }
   std::printf("\n\n");
 
-  // One job per policy: the adaptive walk plus every frozen rung. With
-  // COLORBARS_GRID_WORKERS set the batch runs across worker processes
-  // (byte-identical to the in-process runs); otherwise each simulator
-  // runs here in order.
-  std::vector<std::string> names;
-  std::vector<svc::AdaptiveJob> jobs;
-  names.push_back("adaptive");
-  jobs.push_back({policy_config(true, -1), trajectory});
-  for (std::size_t rung = 0; rung < defaults.ladder.size(); ++rung) {
-    names.push_back("fixed " + adapt::rung_name(defaults.ladder[rung]));
-    jobs.push_back({policy_config(false, static_cast<int>(rung)), trajectory});
-  }
-
-  const std::optional<int> grid_workers = svc::grid_workers_from_env();
-  svc::SvcStats grid_stats;
-  std::vector<adapt::AdaptiveRunResult> results;
-  if (grid_workers) {
-    svc::ServiceConfig service;
-    service.workers = *grid_workers;
-    results = svc::run_adaptive_batch(jobs, service, &grid_stats);
-  } else {
-    for (const svc::AdaptiveJob& job : jobs) {
-      adapt::AdaptiveLinkSimulator simulator(job.config, job.trajectory);
-      results.push_back(simulator.run());
-    }
-  }
-
+  // One run per policy: the adaptive walk plus every frozen rung.
   std::vector<PolicyOutcome> outcomes;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    outcomes.push_back(policy_outcome(names[i], std::move(results[i])));
+  auto run_policy = [&](const std::string& name, bool adaptive, int initial_rung) {
+    adapt::AdaptiveLinkSimulator simulator(policy_config(adaptive, initial_rung),
+                                           trajectory);
+    outcomes.push_back(policy_outcome(name, simulator.run()));
+  };
+  run_policy("adaptive", true, -1);
+  for (std::size_t rung = 0; rung < defaults.ladder.size(); ++rung) {
+    run_policy("fixed " + adapt::rung_name(defaults.ladder[rung]), false,
+               static_cast<int>(rung));
   }
 
   std::printf("%-20s %10s %10s %8s", "policy", "bytes", "goodput", "shifts");
@@ -236,15 +214,6 @@ int main() {
       .metric("total_ok", total_ok ? 1 : 0)
       .metric("winning_phase", winning_phase)
       .metric("pass", pass ? 1 : 0);
-  if (grid_workers) {
-    report.add_row()
-        .label("policy", "scheduler")
-        .metric("grid_workers", grid_stats.workers)
-        .metric("jobs", static_cast<double>(grid_stats.jobs_total))
-        .metric("retries", static_cast<double>(grid_stats.retries))
-        .metric("respawns", static_cast<double>(grid_stats.respawns))
-        .metric("wall_time_s", grid_stats.wall_time_s);
-  }
   report.write();
   return pass ? 0 : 1;
 }

@@ -6,15 +6,10 @@
 // 16/32-CSK SER rises with frequency as narrower bands increase the
 // inter-symbol interference; the iPhone's cleaner color path gives it a
 // lower SER than the Nexus despite its larger inter-frame gap.
-//
-// Set COLORBARS_GRID_WORKERS=N to run the grid through the sharded
-// trial service (colorbars::svc) across N worker processes — results
-// are byte-identical to the in-process run, and the scheduler stats are
-// appended to the JSON report.
 
 #include "bench_util.hpp"
 #include "colorbars/core/link.hpp"
-#include "colorbars/svc/service.hpp"
+#include "colorbars/runtime/thread_pool.hpp"
 
 using namespace colorbars;
 
@@ -40,34 +35,30 @@ int symbols_per_trial(double frequency) {
 }  // namespace
 
 int main() {
-  svc::maybe_run_worker();  // this binary is its own grid worker
-
   bench::print_header("Fig. 9: SER vs symbol frequency (CIELab matching, auto exposure)");
   bench::JsonReport report("fig9_ser");
 
-  // With COLORBARS_GRID_WORKERS set, precompute every point through the
-  // trial service; the print loops below then just index the results.
-  const std::optional<int> grid_workers = svc::grid_workers_from_env();
-  std::vector<svc::PointResult> grid_results;
-  svc::SvcStats grid_stats;
-  if (grid_workers) {
-    svc::SweepSpec spec;
-    for (const auto& profile : {camera::nexus5_profile(), camera::iphone5s_profile()}) {
-      for (const csk::CskOrder order : csk::all_orders()) {
-        for (const double frequency : bench::paper_frequencies()) {
-          svc::SweepPoint point;
-          point.config = point_config(profile, order, frequency);
-          point.kind = svc::TrialKind::kSer;
-          point.trials = kTrials;
-          point.symbols_per_trial = symbols_per_trial(frequency);
-          spec.points.push_back(std::move(point));
-        }
+  // One parallel_for over the grid points; each point's trial loop runs
+  // inline (nested region) on derived seeds, so the results do not
+  // depend on scheduling. The print loops below just index them.
+  std::vector<core::LinkConfig> points;
+  for (const auto& profile : {camera::nexus5_profile(), camera::iphone5s_profile()}) {
+    for (const csk::CskOrder order : csk::all_orders()) {
+      for (const double frequency : bench::paper_frequencies()) {
+        points.push_back(point_config(profile, order, frequency));
       }
     }
-    svc::ServiceConfig service;
-    service.workers = *grid_workers;
-    grid_results = svc::run_sweep(spec, service, &grid_stats);
   }
+  std::vector<core::SerBatchResult> results(points.size());
+  runtime::parallel_for(0, static_cast<std::int64_t>(points.size()), 1,
+                        [&](std::int64_t lo, std::int64_t hi) {
+                          for (std::int64_t i = lo; i < hi; ++i) {
+                            const auto point = static_cast<std::size_t>(i);
+                            const core::LinkConfig& config = points[point];
+                            results[point] = core::LinkSimulator(config).run_ser_trials(
+                                kTrials, symbols_per_trial(config.symbol_rate_hz));
+                          }
+                        });
 
   std::size_t point_index = 0;
   for (const auto& profile : {camera::nexus5_profile(), camera::iphone5s_profile()}) {
@@ -80,40 +71,18 @@ int main() {
     for (const csk::CskOrder order : csk::all_orders()) {
       std::printf("%-8s", bench::order_name(order));
       for (const double frequency : bench::paper_frequencies()) {
-        core::BatchStats ser;
-        core::BatchStats loss_ratio;
-        if (grid_workers) {
-          ser = grid_results[point_index].primary;
-          loss_ratio = grid_results[point_index].loss_ratio;
-          ++point_index;
-        } else {
-          core::LinkSimulator sim(point_config(profile, order, frequency));
-          const core::SerBatchResult batch =
-              sim.run_ser_trials(kTrials, symbols_per_trial(frequency));
-          ser = batch.ser;
-          loss_ratio = batch.inter_frame_loss_ratio;
-        }
-        std::printf(" %11.4f", ser.mean);
+        const core::SerBatchResult& batch = results[point_index++];
+        std::printf(" %11.4f", batch.ser.mean);
         report.add_row()
             .label("device", profile.name)
             .label("order", bench::order_name(order))
             .metric("symbol_rate_hz", frequency)
-            .metric("ser_mean", ser.mean)
-            .metric("ser_stddev", ser.stddev)
-            .metric("loss_ratio_mean", loss_ratio.mean);
+            .metric("ser_mean", batch.ser.mean)
+            .metric("ser_stddev", batch.ser.stddev)
+            .metric("loss_ratio_mean", batch.inter_frame_loss_ratio.mean);
       }
       std::printf("\n");
     }
-  }
-
-  if (grid_workers) {
-    report.add_row()
-        .label("device", "scheduler")
-        .metric("grid_workers", grid_stats.workers)
-        .metric("jobs", static_cast<double>(grid_stats.jobs_total))
-        .metric("retries", static_cast<double>(grid_stats.retries))
-        .metric("respawns", static_cast<double>(grid_stats.respawns))
-        .metric("wall_time_s", grid_stats.wall_time_s);
   }
 
   std::printf(

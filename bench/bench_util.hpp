@@ -101,12 +101,11 @@ class JsonReport {
 
   void write() {
     written_ = true;
-    // Write-then-rename so the report appears atomically: with the
-    // trial service several processes share COLORBARS_BENCH_DIR, and a
-    // reader (or a crashed sibling's leftover) must never see a
-    // half-written file. The temp name carries the pid so concurrent
-    // writers of the same bench cannot collide; rename() within one
-    // directory is atomic on POSIX.
+    // Write-then-rename so the report appears atomically: a bench that
+    // crashes or is interrupted mid-write must never leave a
+    // half-written BENCH_*.json behind. The temp name carries the pid so
+    // concurrent writers of the same bench cannot collide; rename()
+    // within one directory is atomic on POSIX.
     const std::string final_path = path();
     const std::string temp_path =
         final_path + ".tmp." + std::to_string(static_cast<long>(::getpid()));

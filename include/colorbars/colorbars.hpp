@@ -81,8 +81,3 @@
 #include "colorbars/scene/scene.hpp"      // multi-luminaire scene compositor
 #include "colorbars/scene/receiver.hpp"   // per-ROI decode lane fan-out
 #include "colorbars/scene/simulator.hpp"  // N-luminaire scene simulator
-
-#include "colorbars/svc/json.hpp"     // wire-protocol JSON model
-#include "colorbars/svc/wire.hpp"     // framed trial-service protocol
-#include "colorbars/svc/sweep.hpp"    // sweep decomposition + aggregation
-#include "colorbars/svc/service.hpp"  // sharded multi-process trial service

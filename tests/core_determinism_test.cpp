@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "colorbars/adapt/simulator.hpp"
 #include "colorbars/core/link.hpp"
 #include "colorbars/csk/modulation.hpp"
@@ -128,6 +132,75 @@ TEST(Determinism, GoodputTrialsIdenticalAcrossThreadCounts) {
     return flat;
   };
   expect_same_at_all_thread_counts(run);
+}
+
+/// Bit patterns of every SerResult and BatchStats field of a sweep, so
+/// the comparison is exact rather than within a tolerance.
+std::vector<std::uint64_t> flatten_sweep(const std::vector<core::SerBatchResult>& sweep) {
+  std::vector<std::uint64_t> flat;
+  auto count = [&](long long value) { flat.push_back(static_cast<std::uint64_t>(value)); };
+  auto bits = [&](double value) { flat.push_back(std::bit_cast<std::uint64_t>(value)); };
+  for (const core::SerBatchResult& batch : sweep) {
+    for (const core::SerResult& trial : batch.trials) {
+      count(trial.symbols_sent);
+      count(trial.symbols_observed);
+      count(trial.symbol_errors);
+      bits(trial.inter_frame_loss_ratio);
+      count(trial.engine_decisions);
+      count(trial.engine_fallback_decisions);
+      count(trial.engine_retrains);
+      count(trial.engine_train_fallbacks);
+      bits(trial.engine_tap_norm);
+    }
+    for (const core::BatchStats& stats : {batch.ser, batch.inter_frame_loss_ratio}) {
+      count(stats.trials);
+      bits(stats.mean);
+      bits(stats.stddev);
+    }
+  }
+  return flat;
+}
+
+// The figure-sweep shape (bench_fig9_ser): an outer parallel_for over
+// grid points whose run_ser_trials regions then run inline. The result
+// must match a plain sequential loop over the points bit for bit.
+TEST(Determinism, PointParallelSerSweepIdenticalAcrossThreadCounts) {
+  std::vector<core::LinkConfig> points;
+  auto add_point = [&](const camera::SensorProfile& profile, csk::CskOrder order) {
+    core::LinkConfig config = small_link();
+    config.profile = profile;
+    config.order = order;
+    config.seed += points.size();
+    points.push_back(config);
+  };
+  add_point(camera::nexus5_profile(), csk::CskOrder::kCsk8);
+  add_point(camera::iphone5s_profile(), csk::CskOrder::kCsk8);
+  add_point(camera::iphone5s_profile(), csk::CskOrder::kCsk16);
+  auto sweep = [&](bool point_parallel) {
+    std::vector<core::SerBatchResult> results(points.size());
+    auto run_point = [&](std::size_t point) {
+      results[point] = core::LinkSimulator(points[point]).run_ser_trials(2, 150);
+    };
+    if (point_parallel) {
+      runtime::parallel_for(0, static_cast<std::int64_t>(points.size()), 1,
+                            [&](std::int64_t lo, std::int64_t hi) {
+                              for (std::int64_t i = lo; i < hi; ++i) {
+                                run_point(static_cast<std::size_t>(i));
+                              }
+                            });
+    } else {
+      for (std::size_t point = 0; point < points.size(); ++point) run_point(point);
+    }
+    return flatten_sweep(results);
+  };
+
+  runtime::ThreadPool::set_shared_thread_count(1);
+  const std::vector<std::uint64_t> reference = sweep(false);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    runtime::ThreadPool::set_shared_thread_count(threads);
+    EXPECT_TRUE(reference == sweep(true)) << "diverged at " << threads << " threads";
+  }
+  runtime::ThreadPool::set_shared_thread_count(0);
 }
 
 /// Flattens a ReceiverReport for exact comparison. slots_scanned is

@@ -27,13 +27,8 @@ jobs="${1:-$(nproc)}"
 # TSan must cover the concurrency surface: if a rename/move ever drops
 # one of these suites from the binary, fail the run instead of silently
 # shrinking coverage.
-# Svc covers the trial service: the worker's heartbeat side thread
-# races its job loop over the shared socket mutex, and the scheduler's
-# poll loop overlaps worker lifetimes. SvcTimeout stays OUT of the TSan
-# filter: its per-job deadlines are wall-clock, and TSan's slowdown
-# makes legitimate jobs miss them.
-tsan_required_suites=(ThreadPool Determinism BatchTrials BufferPool Pipeline Channel ChannelStages Adapt Scene SceneTracker Simd Frontend Pd Eq Isi Svc SvcWire)
-tsan_filter='ThreadPool.*:Determinism.*:DeriveStreamSeed.*:BatchTrials.*:BufferPool.*:Pipeline.*:Channel.*:ChannelStages.*:Adapt.*:Scene.*:SceneTracker.*:Simd.*:Frontend.*:Pd.*:Eq.*:Isi.*:Svc.*:SvcWire.*'
+tsan_required_suites=(ThreadPool Determinism BatchTrials BufferPool Pipeline Channel ChannelStages Adapt Scene SceneTracker Simd Frontend Pd Eq Isi)
+tsan_filter='ThreadPool.*:Determinism.*:DeriveStreamSeed.*:BatchTrials.*:BufferPool.*:Pipeline.*:Channel.*:ChannelStages.*:Adapt.*:Scene.*:SceneTracker.*:Simd.*:Frontend.*:Pd.*:Eq.*:Isi.*'
 
 build_suite() {
   local build_dir="$1" cmake_flag="$2"
