@@ -121,7 +121,6 @@ int main() {
   const EnginePoint engines[] = {
       {"nearest", eq::EngineKind::kNearestReference},
       {"mmse", eq::EngineKind::kLinearMmse},
-      {"freq", eq::EngineKind::kFrequencyDomain},
   };
   const csk::CskOrder orders[] = {csk::CskOrder::kCsk16, csk::CskOrder::kCsk32,
                                   csk::CskOrder::kCsk64};

@@ -14,7 +14,6 @@
 
 #include "colorbars/adapt/monitor.hpp"
 #include "colorbars/csk/constellation.hpp"
-#include "colorbars/eq/state.hpp"
 
 namespace colorbars::adapt {
 
@@ -41,13 +40,6 @@ struct Rung {
 /// high rungs deliver the paper's peak goodput at close range. Every
 /// rung respects the tri-LED's 4.5 kHz switching limit.
 [[nodiscard]] std::vector<Rung> default_ladder();
-
-/// The default ladder for a link decoding through `engine`: the base
-/// ladder, extended with the CSK32 (and, for the equalized engines,
-/// CSK64) extension rungs the engine can sustain
-/// (eq::max_supported_order). The plain nearest-reference ladder tops
-/// out at CSK32@4kHz; an equalized engine adds CSK64@4kHz above it.
-[[nodiscard]] std::vector<Rung> default_ladder(eq::EngineKind engine);
 
 /// Validates a ladder: non-empty, rungs strictly ascending in raw
 /// bitrate, every symbol rate positive and within `max_rate_hz`.

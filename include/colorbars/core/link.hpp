@@ -73,29 +73,17 @@ struct LinkConfig {
   std::uint64_t seed = 0xc01055eedULL;
 
   /// RS code for this link, derived from the profile's loss ratio per
-  /// the paper's §5 formulas. Memoized on the derivation inputs, so the
-  /// transmitter/receiver config builders (and any callers between
-  /// field edits) share one computation instead of re-deriving.
+  /// the paper's §5 formulas (derive_link_code on this config's fields).
   [[nodiscard]] rs::CodeParameters code() const;
 
   /// Builds matching transmitter / receiver configurations, deriving the
   /// RS code from the profile's loss ratio per the paper's §5 formulas.
   [[nodiscard]] tx::TransmitterConfig transmitter_config() const;
   [[nodiscard]] rx::ReceiverConfig receiver_config() const;
-
- private:
-  /// code() memo, keyed on the derivation inputs so field edits after a
-  /// first call cannot serve a stale code.
-  struct CodeMemo {
-    bool valid = false;
-    csk::CskOrder order{};
-    double symbol_rate_hz = 0.0;
-    double fps = 0.0;
-    double loss_ratio = 0.0;
-    double illumination_ratio = 0.0;
-    rs::CodeParameters params{};
-  };
-  mutable CodeMemo code_memo_;
+  /// The camera frontend matching receiver_config(): this link's sensor,
+  /// channel, slot grid and extractor, with the frame source's lookahead
+  /// set from pipeline_lookahead (start offset and splice left at 0).
+  [[nodiscard]] frontend::CameraFrontendConfig camera_frontend_config() const;
 };
 
 /// Result of one end-to-end payload transfer.
@@ -188,6 +176,18 @@ struct GoodputBatchResult {
                                                   double symbol_rate_hz,
                                                   double frame_rate_hz, double loss_ratio,
                                                   double illumination_ratio);
+
+/// Ground-truth credit: walks `packets` in order and credits each OK data
+/// packet whose payload equals a transmitted message at or after
+/// `next_truth`, advancing `next_truth` past the match. RS validates the
+/// corrected codeword's syndromes, so a decoded payload either matches
+/// its message or (with negligible probability) is a miscorrection; a
+/// miscorrected or foreign packet matches nothing and is never credited.
+/// Returns the bytes credited. A caller crediting one stream in pieces
+/// keeps `next_truth` between calls.
+[[nodiscard]] std::size_t credit_ground_truth(
+    std::span<const rx::PacketRecord> packets,
+    std::span<const std::vector<std::uint8_t>> truth, std::size_t& next_truth);
 
 /// Orchestrates one transmitter/camera/receiver trio.
 class LinkSimulator {

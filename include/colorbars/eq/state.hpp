@@ -4,16 +4,14 @@
 // engines (the colorbars::eq subsystem). Split from engine.hpp so lower
 // layers can speak the engine vocabulary without pulling in the rx
 // headers: rx::CalibrationStore embeds an EqualizerState (the taps live
-// alongside the references they equalize), and adapt::default_ladder
-// keys its top rungs on the EngineKind — neither needs the engine
-// interface itself.
+// alongside the references they equalize) and core::LinkConfig embeds
+// an EngineConfig — neither needs the engine interface itself.
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "colorbars/color/lab.hpp"
-#include "colorbars/csk/constellation.hpp"
 
 namespace colorbars::eq {
 
@@ -27,20 +25,10 @@ enum class EngineKind {
   /// estimated from the calibration preamble, designed in the time
   /// domain by regularized least squares.
   kLinearMmse,
-  /// Same estimated channel, equalizer designed in the frequency domain
-  /// (Singh et al.: per-bin MMSE inversion of the DFT of the impulse
-  /// response, then truncated back to FIR taps).
-  kFrequencyDomain,
 };
 
-/// "nearest" / "mmse" / "freq" — for logs and bench labels.
+/// "nearest" / "mmse" — for logs and bench labels.
 [[nodiscard]] const char* engine_name(EngineKind kind) noexcept;
-
-/// Highest constellation order an engine is expected to sustain (the
-/// adapt ladder only offers CSK32/CSK64 rungs to engines that can decode
-/// them): the nearest-reference scan tops out at the paper's CSK32,
-/// the equalized engines extend to CSK64.
-[[nodiscard]] csk::CskOrder max_supported_order(EngineKind kind) noexcept;
 
 /// Engine selection plus estimation/design knobs. The default is the
 /// nearest-reference engine, which keeps every existing configuration
@@ -51,12 +39,8 @@ struct EngineConfig {
   int channel_taps = 3;
   /// FIR equalizer taps applied per decision (M).
   int equalizer_taps = 8;
-  /// MMSE diagonal loading for the tap estimation and inverse design;
-  /// also the frequency-domain per-bin noise floor.
+  /// MMSE diagonal loading for the tap estimation and inverse design.
   double mmse_lambda = 1e-3;
-  /// DFT length of the frequency-domain design (>= channel_taps +
-  /// equalizer_taps).
-  int dft_size = 32;
   /// Guard: reject equalizers whose tap L2 norm exceeds this (a
   /// near-singular channel fit explodes the inverse).
   double max_tap_norm = 32.0;

@@ -82,10 +82,13 @@ struct CameraFrontendConfig {
   channel::ChannelSpec channel{};
   double symbol_rate_hz = 2000.0;
   rx::ExtractorConfig extractor{};
-  /// pipeline::SourceConfig lookahead (peak resident frames).
-  int pipeline_lookahead = 8;
-  /// Capture start offset into the trace (capture_video semantics).
-  double start_offset_s = 0.0;
+  /// The frame source behind the frontend: prefetch lookahead (peak
+  /// resident frames), capture start offset into the trace
+  /// (capture_video semantics), and the stream-clock splice
+  /// (time_shift_s, frame_index_base) a consumer stitching several
+  /// captures onto one receiver sets — the frame-stage randomness is
+  /// keyed on the spliced frame index.
+  pipeline::SourceConfig source{};
 };
 
 /// The rolling-shutter path behind the seam: owns the camera (seeded
@@ -140,13 +143,6 @@ class CameraFrontend final : public SlotObservationSource {
 struct FrontendRunStats {
   long long blocks = 0;        ///< blocks delivered (frames / sample blocks)
   long long observations = 0;  ///< slot observations across all blocks
-  // Decision-engine counters copied from the receiver after the final
-  // flush (see rx::StreamingStats engine_* fields).
-  long long engine_decisions = 0;
-  long long engine_fallback_decisions = 0;
-  long long engine_retrains = 0;
-  long long engine_train_fallbacks = 0;
-  double engine_tap_norm = 0.0;
 };
 
 /// Drives a frontend to completion into a streaming receiver: every

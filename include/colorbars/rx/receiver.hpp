@@ -43,9 +43,9 @@ struct ReceiverConfig {
   /// halves the recoverable loss. Ablation knob.
   bool use_erasure_decoding = true;
   /// Symbol-decision engine. The default nearest-reference engine is
-  /// byte-identical to the pre-seam receiver; the equalized engines
-  /// (eq::EngineKind::kLinearMmse / kFrequencyDomain) invert the
-  /// rolling-shutter ISI and are what makes CSK64 decodable.
+  /// byte-identical to the pre-seam receiver; the equalized engine
+  /// (eq::EngineKind::kLinearMmse) inverts the rolling-shutter ISI and
+  /// is what makes CSK64 decodable.
   eq::EngineConfig engine{};
 };
 

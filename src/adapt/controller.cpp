@@ -39,24 +39,6 @@ std::vector<Rung> default_ladder() {
   };
 }
 
-std::vector<Rung> default_ladder(eq::EngineKind engine) {
-  std::vector<Rung> ladder = default_ladder();
-  // Extension rungs above the paper's peak, gated on what the decision
-  // engine can decode (eq::max_supported_order): CSK32@4kHz (20 kbps
-  // raw) for every engine, CSK64@4kHz (24 kbps raw) only when the
-  // engine equalizes ISI — offering CSK64 to the plain scan would hand
-  // the controller a rung it can only fail on. All rates stay within
-  // the tri-LED's 4.5 kHz switching limit.
-  const int max_symbols = csk::symbol_count(eq::max_supported_order(engine));
-  if (max_symbols >= csk::symbol_count(csk::CskOrder::kCsk32)) {
-    ladder.push_back({csk::CskOrder::kCsk32, 4000.0});
-  }
-  if (max_symbols >= csk::symbol_count(csk::CskOrder::kCsk64)) {
-    ladder.push_back({csk::CskOrder::kCsk64, 4000.0});
-  }
-  return ladder;
-}
-
 void validate_ladder(const std::vector<Rung>& ladder, double max_rate_hz) {
   if (ladder.empty()) {
     throw std::invalid_argument("validate_ladder: ladder must not be empty");

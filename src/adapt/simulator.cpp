@@ -4,10 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "colorbars/camera/camera.hpp"
-#include "colorbars/channel/stages.hpp"
+#include "colorbars/frontend/frontend.hpp"
 #include "colorbars/led/tri_led.hpp"
-#include "colorbars/pipeline/pipeline.hpp"
 #include "colorbars/runtime/seed.hpp"
 #include "colorbars/tx/transmitter.hpp"
 #include "colorbars/util/rng.hpp"
@@ -70,29 +68,10 @@ core::LinkConfig AdaptiveLinkConfig::link_at(const Rung& rung,
 
 namespace {
 
-// Sub-stream constants mirroring core/link.cpp's per-capture derivation
-// (optical channel and frame-stage streams hang off the camera seed).
-constexpr std::uint64_t kOpticalStream = 0x0cc10ca1;
-constexpr std::uint64_t kFrameStageStream = 0x57a9e5;
 // Run-level sub-streams of the adaptive simulator's seed.
 constexpr std::uint64_t kCameraStream = 0xada0001;
 constexpr std::uint64_t kPayloadStream = 0xada0002;
 constexpr std::uint64_t kFeedbackStream = 0xada0003;
-
-/// Forwards frames into the persistent StreamingReceiver but swallows
-/// run_pipeline's per-capture end-of-stream flush: one control interval
-/// is not the end of the epoch, and a final-flush drain mid-epoch would
-/// report held-back packets with end-of-stream semantics. The simulator
-/// flushes explicitly at epoch boundaries and at the end of the run.
-class EpochSink final : public pipeline::FrameSink {
- public:
-  explicit EpochSink(rx::StreamingReceiver& receiver) : receiver_(receiver) {}
-  void consume(const camera::Frame& frame) override { receiver_.consume(frame); }
-  void on_stream_end() override {}
-
- private:
-  rx::StreamingReceiver& receiver_;
-};
 
 /// One interval's ground truth, waiting for its packets to decode (the
 /// holdback means an interval's tail packets decode one interval late,
@@ -152,7 +131,6 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
       config_.link_at(ladder[static_cast<std::size_t>(applied)],
                       trajectory_.segments.front().channel)
           .receiver_config());
-  pipeline::BufferPool pool;
 
   AdaptiveRunResult result;
   std::vector<PendingInterval> pending;
@@ -186,14 +164,8 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
       if (record.ok) {
         ++interval.packets_ok;
         interval.corrected_symbols += record.corrected_errors + record.corrected_erasures;
-        for (std::size_t truth = home->next_truth; truth < home->messages.size();
-             ++truth) {
-          if (record.payload == home->messages[truth]) {
-            interval.recovered_bytes += static_cast<long long>(record.payload.size());
-            home->next_truth = truth + 1;
-            break;
-          }
-        }
+        interval.recovered_bytes += static_cast<long long>(core::credit_ground_truth(
+            {&record, 1}, home->messages, home->next_truth));
       } else {
         ++interval.packets_failed;
         if (record.failure == rx::PacketFailure::kHeaderLost) ++interval.header_losses;
@@ -207,7 +179,6 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
   long long sequence = 0;
   int desired = applied;
   long long interval = 0;
-  pipeline::PipelineStats last_pipeline_stats;
 
   while (elapsed < total_duration) {
     // 1. Control-plane delivery: the transmitter applies the newest
@@ -255,29 +226,23 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
     }
     const tx::Transmission transmission = transmitter.transmit(payload);
 
-    // 3. Capture the burst and stream it into the persistent receiver,
-    // re-stamped onto the epoch's continuous slot grid. Two frame
+    // 3. Capture the burst through the camera frontend and stream its
+    // observation blocks into the persistent receiver, re-stamped onto
+    // the epoch's continuous slot grid and frame counter. Two frame
     // periods of dead air separate intervals — the tx's reconfig /
     // scheduling turnaround — so one interval's frame overhang can
-    // never collide with the next interval's slots.
-    const std::uint64_t camera_seed =
-        runtime::derive_stream_seed(camera_base, static_cast<std::uint64_t>(interval));
-    camera::RollingShutterCamera camera(
-        config_.profile,
-        channel::OpticalChannel(spec,
-                                runtime::derive_stream_seed(camera_seed, kOpticalStream)),
-        camera_seed);
-    const channel::StageChain stages(
-        spec, runtime::derive_stream_seed(camera_seed, kFrameStageStream));
+    // never collide with the next interval's slots. No end-of-stream
+    // flush here: one interval is not the end of the epoch; the
+    // simulator flushes at epoch boundaries and at the end of the run.
     const long long frame_period_slots =
         std::llround(rung.symbol_rate_hz / config_.profile.fps);
     const double symbol_duration_s = 1.0 / rung.symbol_rate_hz;
-    pipeline::SourceConfig source_config;
-    source_config.lookahead = config_.pipeline_lookahead;
-    source_config.time_shift_s = static_cast<double>(epoch_slot_base) * symbol_duration_s;
-    source_config.frame_index_base = receiver.frames_ingested();
-    pipeline::FrameSource source(camera, transmission.trace, pool, source_config);
-    EpochSink sink(receiver);
+    frontend::CameraFrontendConfig capture = link.camera_frontend_config();
+    capture.source.time_shift_s = static_cast<double>(epoch_slot_base) * symbol_duration_s;
+    capture.source.frame_index_base = receiver.frames_ingested();
+    frontend::CameraFrontend camera(
+        capture, transmission.trace,
+        runtime::derive_stream_seed(camera_base, static_cast<std::uint64_t>(interval)));
 
     IntervalRecord record;
     record.interval = interval;
@@ -298,7 +263,8 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
     truth.messages = transmission.packet_messages;
     pending.push_back(std::move(truth));
 
-    last_pipeline_stats = pipeline::run_pipeline(source, stages.stages(), sink);
+    std::vector<rx::SlotObservation> block;
+    while (camera.next_block(block)) receiver.push_observations(block);
     attribute();
 
     // 4. Harvest the interval's quality sample from the decode deltas
@@ -312,8 +278,8 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
         sample.packets_ok + (report.data_packets_failed - prev_failed);
     sample.margin_sum = report.decision_margin_sum - prev_margin_sum;
     sample.margin_count = report.decision_margin_count - prev_margin_count;
-    sample.frames_streamed = last_pipeline_stats.frames_streamed;
-    sample.frames_dropped = last_pipeline_stats.frames_dropped;
+    sample.frames_streamed = camera.frames_delivered();
+    sample.frames_dropped = camera.frames_dropped();
     // Header losses / corrections ride the per-interval attribution,
     // which already classified the records decoded so far.
     {
@@ -355,7 +321,6 @@ AdaptiveRunResult AdaptiveLinkSimulator::run() {
   // Final epoch flush: decode and attribute everything still held back.
   (void)receiver.finish();
   attribute();
-  receiver.note_pipeline_stats(last_pipeline_stats);
 
   result.total_time_s = elapsed;
   for (const IntervalRecord& record : result.intervals) {

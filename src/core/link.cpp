@@ -47,23 +47,8 @@ rs::CodeParameters derive_link_code(csk::CskOrder order, double symbol_rate_hz,
 }
 
 rs::CodeParameters LinkConfig::code() const {
-  const bool memo_hit = code_memo_.valid && code_memo_.order == order &&
-                        code_memo_.symbol_rate_hz == symbol_rate_hz &&
-                        code_memo_.fps == profile.fps &&
-                        code_memo_.loss_ratio == profile.inter_frame_loss_ratio &&
-                        code_memo_.illumination_ratio == illumination_ratio;
-  if (!memo_hit) {
-    code_memo_.order = order;
-    code_memo_.symbol_rate_hz = symbol_rate_hz;
-    code_memo_.fps = profile.fps;
-    code_memo_.loss_ratio = profile.inter_frame_loss_ratio;
-    code_memo_.illumination_ratio = illumination_ratio;
-    code_memo_.params = derive_link_code(order, symbol_rate_hz, profile.fps,
-                                         profile.inter_frame_loss_ratio,
-                                         illumination_ratio);
-    code_memo_.valid = true;
-  }
-  return code_memo_.params;
+  return derive_link_code(order, symbol_rate_hz, profile.fps,
+                          profile.inter_frame_loss_ratio, illumination_ratio);
 }
 
 tx::TransmitterConfig LinkConfig::transmitter_config() const {
@@ -95,6 +80,33 @@ rx::ReceiverConfig LinkConfig::receiver_config() const {
   return config;
 }
 
+frontend::CameraFrontendConfig LinkConfig::camera_frontend_config() const {
+  frontend::CameraFrontendConfig config;
+  config.profile = profile;
+  config.channel = channel;
+  config.symbol_rate_hz = symbol_rate_hz;
+  config.extractor = receiver_config().extractor;
+  config.source.lookahead = pipeline_lookahead;
+  return config;
+}
+
+std::size_t credit_ground_truth(std::span<const rx::PacketRecord> packets,
+                                std::span<const std::vector<std::uint8_t>> truth,
+                                std::size_t& next_truth) {
+  std::size_t credited = 0;
+  for (const rx::PacketRecord& record : packets) {
+    if (record.kind != protocol::PacketKind::kData || !record.ok) continue;
+    for (std::size_t t = next_truth; t < truth.size(); ++t) {
+      if (record.payload == truth[t]) {
+        credited += record.payload.size();
+        next_truth = t + 1;
+        break;
+      }
+    }
+  }
+  return credited;
+}
+
 LinkSimulator::LinkSimulator(LinkConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
   // Fail at construction, not at the first run_* call deep inside a
@@ -122,13 +134,8 @@ std::unique_ptr<frontend::SlotObservationSource> make_frontend(
     pd_config.start_offset_s = start_offset_s;
     return std::make_unique<pd::PdFrontend>(pd_config, trace, capture_seed);
   }
-  frontend::CameraFrontendConfig camera_config;
-  camera_config.profile = config.profile;
-  camera_config.channel = config.channel;
-  camera_config.symbol_rate_hz = config.symbol_rate_hz;
-  camera_config.extractor = config.receiver_config().extractor;
-  camera_config.pipeline_lookahead = config.pipeline_lookahead;
-  camera_config.start_offset_s = start_offset_s;
+  frontend::CameraFrontendConfig camera_config = config.camera_frontend_config();
+  camera_config.source.start_offset_s = start_offset_s;
   return std::make_unique<frontend::CameraFrontend>(camera_config, trace, capture_seed);
 }
 
@@ -163,22 +170,9 @@ LinkRunResult LinkSimulator::run_payload(std::span<const std::uint8_t> payload) 
   result.payload_bytes = payload.size();
   result.air_time_s = transmission.duration_s();
 
-  // Credit every correctly recovered packet. RS validates the corrected
-  // codeword's syndromes, so a decoded payload either matches its
-  // ground-truth message or (with negligible probability) is a
-  // miscorrection — the sequential scan below only credits true matches.
   std::size_t next_truth = 0;
-  for (const rx::PacketRecord& record : result.report.packets) {
-    if (record.kind != protocol::PacketKind::kData || !record.ok) continue;
-    for (std::size_t truth = next_truth; truth < transmission.packet_messages.size();
-         ++truth) {
-      if (record.payload == transmission.packet_messages[truth]) {
-        result.recovered_bytes += record.payload.size();
-        next_truth = truth + 1;
-        break;
-      }
-    }
-  }
+  result.recovered_bytes = credit_ground_truth(result.report.packets,
+                                               transmission.packet_messages, next_truth);
   return result;
 }
 

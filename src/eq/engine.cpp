@@ -213,7 +213,6 @@ std::unique_ptr<DecisionEngine> make_engine(const EngineConfig& config) {
     case EngineKind::kNearestReference:
       return detail::make_nearest_engine(config);
     case EngineKind::kLinearMmse:
-    case EngineKind::kFrequencyDomain:
       return detail::make_equalized_engine(config);
   }
   return detail::make_nearest_engine(config);

@@ -1,7 +1,7 @@
 #pragma once
 
 // Implementation-internal pieces shared by engine.cpp (the seam + the
-// nearest-reference engine) and equalizer.cpp (the equalized engines).
+// nearest-reference engine) and equalizer.cpp (the equalized engine).
 // Not installed; include only from src/eq/.
 
 #include <optional>
@@ -22,7 +22,7 @@ namespace colorbars::eq::detail {
                                          double* margin_out);
 
 /// Nearest match of a chroma against an explicit reference list (the
-/// equalized engines' deconvolved constellation), through the same
+/// equalized engine's deconvolved constellation), through the same
 /// dispatched ΔE(ab) kernel and the same ascending best/second scan.
 [[nodiscard]] int classify_against_refs(std::span<const color::ChromaAB> references,
                                         const color::ChromaAB& chroma,

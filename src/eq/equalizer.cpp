@@ -1,6 +1,5 @@
-// Linear equalized decision engines (the CSK64 extension). Both engines
-// share one channel model and one estimator and differ only in how the
-// inverse is designed:
+// Linear equalized decision engine (the CSK64 extension). One channel
+// model and one estimator:
 //
 //   y[k] = sum_d c[d] * t[s[k-d]]
 //
@@ -16,14 +15,12 @@
 // calibration packet shows each symbol once, so without the prior the
 // t-step is rank deficient by construction).
 //
-// The equalizer w then inverts c, either in the time domain (regularized
-// least-squares FIR inverse of the convolution matrix — ZF as lambda ->
-// 0, MMSE otherwise) or per frequency bin (Singh et al.: W = conj(C) /
-// (|C|^2 + lambda) on a DFT grid, truncated back to M causal taps).
-// Every estimation passes an ill-conditioning guard — singular pivots,
-// non-finite values, exploding tap norm — and a rejected fit keeps the
-// previous taps and counts a train_fallback instead of ever storing
-// NaNs.
+// The equalizer w then inverts c in the time domain: the regularized
+// least-squares FIR inverse of the convolution matrix (ZF as lambda ->
+// 0, MMSE otherwise). Every estimation passes an ill-conditioning guard
+// — singular pivots, non-finite values, exploding tap norm — and a
+// rejected fit keeps the previous taps and counts a train_fallback
+// instead of ever storing NaNs.
 
 #include <cmath>
 #include <cstddef>
@@ -40,7 +37,6 @@ using color::ChromaAB;
 using rx::SlotObservation;
 
 constexpr double kPivotFloor = 1e-12;
-constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 struct Estimate {
   std::vector<double> channel;
@@ -112,7 +108,7 @@ class EqualizedEngine final : public DecisionEngine {
            fit_references(sequence, estimate.channel, raw, estimate.references);
     }
     ok = ok && all_finite(estimate.channel) && all_finite(estimate.references);
-    ok = ok && design_equalizer(estimate.channel, estimate.equalizer);
+    ok = ok && design_time_domain(estimate.channel, estimate.equalizer);
     if (ok) {
       double norm_sq = 0.0;
       for (const double w : estimate.equalizer) norm_sq += w * w;
@@ -282,13 +278,6 @@ class EqualizedEngine final : public DecisionEngine {
     return true;
   }
 
-  bool design_equalizer(std::span<const double> channel,
-                        std::vector<double>& equalizer) const {
-    return config_.kind == EngineKind::kFrequencyDomain
-               ? design_frequency_domain(channel, equalizer)
-               : design_time_domain(channel, equalizer);
-  }
-
   /// Regularized least-squares FIR inverse: w minimizes
   /// |conv(c, w) - delta|^2 + lambda |w|^2 over the full convolution
   /// support. Pure zero forcing as lambda -> 0.
@@ -321,50 +310,6 @@ class EqualizedEngine final : public DecisionEngine {
     }
     if (!solve_dense(normal, rhs, taps, 1, kPivotFloor)) return false;
     equalizer = std::move(rhs);
-    return all_finite(equalizer);
-  }
-
-  /// Per-bin MMSE inversion on a DFT grid (Singh et al.), truncated back
-  /// to the first `equalizer_taps` causal taps.
-  bool design_frequency_domain(std::span<const double> channel,
-                               std::vector<double>& equalizer) const {
-    const int size = config_.dft_size;
-    std::vector<double> response_re(static_cast<std::size_t>(size), 0.0);
-    std::vector<double> response_im(static_cast<std::size_t>(size), 0.0);
-    double power_sum = 0.0;
-    for (int bin = 0; bin < size; ++bin) {
-      double re = 0.0;
-      double im = 0.0;
-      for (std::size_t d = 0; d < channel.size(); ++d) {
-        const double angle = -kTwoPi * bin * static_cast<double>(d) / size;
-        re += channel[d] * std::cos(angle);
-        im += channel[d] * std::sin(angle);
-      }
-      response_re[static_cast<std::size_t>(bin)] = re;
-      response_im[static_cast<std::size_t>(bin)] = im;
-      power_sum += re * re + im * im;
-    }
-    const double noise_floor = config_.mmse_lambda * (power_sum / size + 1e-9);
-    std::vector<double> inverse_re(static_cast<std::size_t>(size));
-    std::vector<double> inverse_im(static_cast<std::size_t>(size));
-    for (int bin = 0; bin < size; ++bin) {
-      const double re = response_re[static_cast<std::size_t>(bin)];
-      const double im = response_im[static_cast<std::size_t>(bin)];
-      const double denom = re * re + im * im + noise_floor;
-      if (!(denom > 0.0) || !std::isfinite(denom)) return false;
-      inverse_re[static_cast<std::size_t>(bin)] = re / denom;
-      inverse_im[static_cast<std::size_t>(bin)] = -im / denom;
-    }
-    equalizer.assign(static_cast<std::size_t>(config_.equalizer_taps), 0.0);
-    for (int j = 0; j < config_.equalizer_taps; ++j) {
-      double acc = 0.0;
-      for (int bin = 0; bin < size; ++bin) {
-        const double angle = kTwoPi * bin * static_cast<double>(j) / size;
-        acc += inverse_re[static_cast<std::size_t>(bin)] * std::cos(angle) -
-               inverse_im[static_cast<std::size_t>(bin)] * std::sin(angle);
-      }
-      equalizer[static_cast<std::size_t>(j)] = acc / size;
-    }
     return all_finite(equalizer);
   }
 

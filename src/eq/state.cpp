@@ -8,22 +8,8 @@ const char* engine_name(EngineKind kind) noexcept {
   switch (kind) {
     case EngineKind::kNearestReference: return "nearest";
     case EngineKind::kLinearMmse: return "mmse";
-    case EngineKind::kFrequencyDomain: return "freq";
   }
   return "?";
-}
-
-csk::CskOrder max_supported_order(EngineKind kind) noexcept {
-  switch (kind) {
-    case EngineKind::kNearestReference:
-      // The paper's ceiling: beyond CSK32 the packing's min ΔE drops
-      // under the rolling-shutter ISI floor and the plain scan collapses.
-      return csk::CskOrder::kCsk32;
-    case EngineKind::kLinearMmse:
-    case EngineKind::kFrequencyDomain:
-      return csk::CskOrder::kCsk64;
-  }
-  return csk::CskOrder::kCsk32;
 }
 
 void EngineConfig::validate() const {
@@ -35,10 +21,6 @@ void EngineConfig::validate() const {
   }
   if (!(mmse_lambda >= 0.0) || !(mmse_lambda < 1e6)) {
     throw std::invalid_argument("EngineConfig: mmse_lambda must be in [0, 1e6)");
-  }
-  if (dft_size < channel_taps + equalizer_taps || dft_size > 4096) {
-    throw std::invalid_argument(
-        "EngineConfig: dft_size must cover channel_taps + equalizer_taps (and be <= 4096)");
   }
   if (!(max_tap_norm > 0.0)) {
     throw std::invalid_argument("EngineConfig: max_tap_norm must be positive");

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "colorbars/channel/stages.hpp"
-#include "colorbars/protocol/packet.hpp"
 #include "colorbars/runtime/seed.hpp"
 
 namespace colorbars::scene {
@@ -20,25 +19,17 @@ constexpr std::uint64_t kSceneStageStream = 0x5ce2f5a9;
 constexpr std::uint64_t kSceneLuminaireStream = 0x5ce21ed5;
 
 /// Credits ground-truth-verified bytes from one decode lane against one
-/// luminaire's transmitted packet sequence: the same sequential
-/// prefix-match scan core::LinkSimulator::run_payload uses, so a
-/// miscorrected or cross-luminaire packet is never credited.
+/// luminaire's transmitted packet sequence (core::credit_ground_truth,
+/// so a miscorrected or cross-luminaire packet is never credited).
 void credit_lane(const rx::ReceiverReport& report,
                  const std::vector<std::vector<std::uint8_t>>& truth,
                  LuminaireOutcome& outcome) {
-  std::size_t next_truth = 0;
   for (const rx::PacketRecord& record : report.packets) {
     ++outcome.packets;
     if (record.ok) ++outcome.packets_ok;
-    if (record.kind != protocol::PacketKind::kData || !record.ok) continue;
-    for (std::size_t t = next_truth; t < truth.size(); ++t) {
-      if (record.payload == truth[t]) {
-        outcome.recovered_bytes += record.payload.size();
-        next_truth = t + 1;
-        break;
-      }
-    }
   }
+  std::size_t next_truth = 0;
+  outcome.recovered_bytes += core::credit_ground_truth(report.packets, truth, next_truth);
 }
 
 }  // namespace

@@ -340,19 +340,27 @@ TEST(Determinism, AdaptiveRunIdenticalAcrossThreadCounts) {
   // The closed control loop is sequential; only frame rendering fans
   // out. A whole adaptive run — rung switches, feedback delivery, epoch
   // flushes, attribution — must therefore be byte-identical at any
-  // thread count.
-  auto run = [] {
+  // thread count. The second input adds frame drops and gain wobble,
+  // whose per-frame draws key on the frame index each interval's
+  // capture is spliced onto.
+  adapt::TrajectorySegment near;
+  near.name = "near";
+  near.duration_s = 1.0;
+  near.channel.distance.distance_m = 0.08;
+  near.channel.distance.reference_distance_m = 0.08;
+  adapt::TrajectorySegment far = near;
+  far.name = "far";
+  far.duration_s = 1.4;
+  far.channel.distance.distance_m = 0.13;
+  adapt::TrajectorySegment shaky = far;
+  shaky.name = "far, shaky";
+  shaky.duration_s = 2.2;  // the run Adapt.FrameImpairedRunIsPinned pins
+  shaky.channel.frame.drop_probability = 0.1;
+  shaky.channel.frame.gain_wobble_sigma = 0.05;
+
+  auto run = [](std::vector<adapt::TrajectorySegment> segments) {
     adapt::Trajectory trajectory;
-    adapt::TrajectorySegment near;
-    near.name = "near";
-    near.duration_s = 1.0;
-    near.channel.distance.distance_m = 0.08;
-    near.channel.distance.reference_distance_m = 0.08;
-    adapt::TrajectorySegment far = near;
-    far.name = "far";
-    far.duration_s = 1.4;
-    far.channel.distance.distance_m = 0.13;
-    trajectory.segments = {near, far};
+    trajectory.segments = std::move(segments);
 
     adapt::AdaptiveLinkConfig config;
     config.profile = camera::ideal_profile();
@@ -380,13 +388,16 @@ TEST(Determinism, AdaptiveRunIdenticalAcrossThreadCounts) {
       flat.push_back(record.header_losses);
       flat.push_back(record.corrected_symbols);
       flat.push_back(static_cast<long long>(record.sample.margin_sum * 1e6));
+      flat.push_back(record.sample.frames_streamed);
+      flat.push_back(record.sample.frames_dropped);
       flat.push_back(record.desired_rung);
       flat.push_back(record.command_sent ? 1 : 0);
       flat.push_back(record.command_lost ? 1 : 0);
     }
     return flat;
   };
-  expect_same_at_all_thread_counts(run);
+  expect_same_at_all_thread_counts([&] { return run({near, far}); });
+  expect_same_at_all_thread_counts([&] { return run({near, shaky}); });
 }
 
 TEST(Determinism, MultiLedSceneDecodeIdenticalAcrossThreadCounts) {
@@ -455,10 +466,9 @@ TEST(BatchTrials, ZeroTrialsIsEmpty) {
 TEST(LinkConfigCode, MemoTracksFieldEdits) {
   core::LinkConfig config = small_link();
   const rs::CodeParameters first = config.code();
-  EXPECT_EQ(first.n, config.code().n);  // memo hit
   config.symbol_rate_hz = 4000.0;
   const rs::CodeParameters second = config.code();
-  EXPECT_NE(first.n, second.n);  // memo invalidated by the edit
+  EXPECT_NE(first.n, second.n);  // the edit reaches the derived code
   const rs::CodeParameters reference = core::derive_link_code(
       config.order, config.symbol_rate_hz, config.profile.fps,
       config.profile.inter_frame_loss_ratio, config.illumination_ratio);

@@ -1,10 +1,10 @@
 // The pluggable symbol-decision engine seam (colorbars::eq). The
 // default nearest-reference engine must be byte-identical to the
 // pre-seam ΔE scan on every path (batch receiver, both streaming
-// frontends, any thread count); the equalized engines must train
+// frontends, any thread count); the equalized engine must train
 // deterministically, guard against ill-conditioned fits without
 // emitting NaN, and actually beat the plain scan on the symbol-spaced
-// ISI channel they exist for.
+// ISI channel it exists for.
 
 #include "colorbars/eq/engine.hpp"
 
@@ -67,23 +67,14 @@ core::LinkConfig isi_link(eq::EngineKind engine) {
   return config;
 }
 
-TEST(Eq, EngineNamesAndSupportedOrders) {
+TEST(Eq, EngineNames) {
   EXPECT_STREQ(eq::engine_name(eq::EngineKind::kNearestReference), "nearest");
   EXPECT_STREQ(eq::engine_name(eq::EngineKind::kLinearMmse), "mmse");
-  EXPECT_STREQ(eq::engine_name(eq::EngineKind::kFrequencyDomain), "freq");
-  // The plain scan tops out below CSK64; the equalized engines carry it.
-  EXPECT_EQ(eq::max_supported_order(eq::EngineKind::kNearestReference),
-            csk::CskOrder::kCsk32);
-  EXPECT_EQ(eq::max_supported_order(eq::EngineKind::kLinearMmse),
-            csk::CskOrder::kCsk64);
-  EXPECT_EQ(eq::max_supported_order(eq::EngineKind::kFrequencyDomain),
-            csk::CskOrder::kCsk64);
 }
 
 TEST(Eq, MakeEngineDispatchesOnKind) {
   for (const eq::EngineKind kind :
-       {eq::EngineKind::kNearestReference, eq::EngineKind::kLinearMmse,
-        eq::EngineKind::kFrequencyDomain}) {
+       {eq::EngineKind::kNearestReference, eq::EngineKind::kLinearMmse}) {
     eq::EngineConfig config;
     config.kind = kind;
     const auto engine = eq::make_engine(config);
@@ -104,7 +95,6 @@ TEST(Eq, EngineConfigValidateRejectsBadValues) {
   rejects([](eq::EngineConfig& c) { c.equalizer_taps = 0; });
   rejects([](eq::EngineConfig& c) { c.equalizer_taps = 33; });
   rejects([](eq::EngineConfig& c) { c.mmse_lambda = -1.0; });
-  rejects([](eq::EngineConfig& c) { c.dft_size = 4; });  // < channel+equalizer taps
   rejects([](eq::EngineConfig& c) { c.max_tap_norm = 0.0; });
   rejects([](eq::EngineConfig& c) { c.reference_prior = -0.1; });
   rejects([](eq::EngineConfig& c) { c.train_iterations = 0; });
@@ -205,18 +195,6 @@ TEST(Eq, EqualizedEngineBeatsNearestOnSymbolSpacedIsi) {
   EXPECT_LT(mmse.ser(), rs_threshold);
   EXPECT_GT(mmse.engine_retrains, 0);
   EXPECT_GT(mmse.engine_tap_norm, 0.0);
-}
-
-TEST(Eq, FrequencyDomainEngineMatchesTimeDomainOnShortChannel) {
-  // On a single-echo channel the DFT-designed inverse and the
-  // time-domain normal-equations inverse converge to the same short
-  // FIR, so the two engines should measure statistically identical SER
-  // (identical here: the captures are deterministic and shared).
-  core::LinkSimulator mmse_link(isi_link(eq::EngineKind::kLinearMmse));
-  core::LinkSimulator freq_link(isi_link(eq::EngineKind::kFrequencyDomain));
-  const double mmse_ser = mmse_link.run_ser(1500).ser();
-  const double freq_ser = freq_link.run_ser(1500).ser();
-  EXPECT_NEAR(mmse_ser, freq_ser, 0.02);
 }
 
 TEST(Eq, Csk64CarriesSixBitsAndValidConstellation) {

@@ -87,7 +87,7 @@ TEST(Frontend, CameraFrontendDecodesByteIdenticallyToDirectCapture) {
   config.channel = link.channel;
   config.symbol_rate_hz = link.symbol_rate_hz;
   config.extractor = link.receiver_config().extractor;
-  config.start_offset_s = start_offset;
+  config.source.start_offset_s = start_offset;
   frontend::CameraFrontend source(config, transmission.trace, capture_seed);
   rx::StreamingReceiver receiver(link.receiver_config());
   const frontend::FrontendRunStats stats = frontend::run_frontend(source, receiver);

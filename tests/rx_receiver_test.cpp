@@ -161,7 +161,7 @@ TEST(Receiver, WorksAcrossAllOrders) {
     const auto frames = fixture.send(payload);
     // CSK64's packing is below the plain scan's noise floor by design —
     // it is exactly the order the equalized engine exists for, so the
-    // top order decodes through it (eq::max_supported_order).
+    // top order decodes through it.
     rx::ReceiverConfig config = fixture.rx_config;
     if (order == csk::CskOrder::kCsk64) {
       config.engine.kind = eq::EngineKind::kLinearMmse;
