@@ -37,7 +37,7 @@ struct Options {
 void print_usage() {
   std::printf(
       "usage: colorbars_cli [options]\n"
-      "  --order N       CSK order: 4, 8, 16 or 32 (default 8)\n"
+      "  --order N       CSK order: 4, 8, 16, 32 or 64 (default 8)\n"
       "  --rate HZ       symbol rate, <= 4500 (default 2000)\n"
       "  --device NAME   nexus5 | iphone5s | ideal (default nexus5)\n"
       "  --message TEXT  payload to broadcast (transfer mode)\n"
@@ -97,7 +97,7 @@ bool build_config(const Options& options, core::LinkConfig& config) {
       std::fprintf(stderr, "order must be 4, 8, 16, 32 or 64\n");
       return false;
   }
-  if (options.rate <= 0 || options.rate > 4500) {
+  if (!(options.rate > 0.0) || options.rate > 4500) {
     std::fprintf(stderr, "rate must be in (0, 4500] Hz (LED hardware limit)\n");
     return false;
   }

@@ -90,7 +90,6 @@ struct AdaptiveLinkConfig {
   double illumination_ratio = 0.8;
   double calibration_rate_hz = 5.0;
   rx::ClassifierConfig classifier{};
-  int pipeline_lookahead = 8;
   MonitorConfig monitor{};
   ControllerConfig controller{};
   FeedbackConfig feedback{};

@@ -39,18 +39,20 @@ struct ExposureSettings {
 };
 
 /// Reusable per-frame render scratch: the intermediate buffers one
-/// frame synthesis needs (per-row responses, the Bayer mosaic plane and
-/// the demosaiced float image). Recyclable across frames — every render
-/// resizes the buffers it uses — so a pipeline::BufferPool can hand the
-/// same scratch to thousands of frames without reallocating.
+/// frame synthesis needs (per-row ambient and per-emitter LED sensor
+/// responses, the Bayer mosaic plane and the demosaiced float image).
+/// Recyclable across frames — every render resizes the buffers it uses
+/// — so a pipeline::BufferPool can hand the same scratch to thousands
+/// of frames without reallocating.
 struct RenderScratch {
-  std::vector<led::Vec3> row_response;
+  /// Per-row ambient sensor response of the camera's own channel.
+  std::vector<led::Vec3> ambient_rows;
+  /// Per-emitter per-row LED sensor responses, laid out emitter-major
+  /// (emitter * rows + row); rows outside an emitter's rectangle are
+  /// never read.
+  std::vector<led::Vec3> emitter_rows;
   std::vector<double> raw;
   FloatImage rgb;
-  /// Scene-composite renders only: per-emitter per-row LED responses,
-  /// laid out emitter-major (emitter * rows + row). Unused (and left
-  /// untouched) by the single-trace render path.
-  std::vector<led::Vec3> region_rows;
   /// Per-frame bump allocator for row-shaped transients (the vignetted
   /// signal and shot-sigma rows of the mosaic stage). Reset at the start
   /// of every frame; after the first frame every row comes back from the
@@ -60,10 +62,13 @@ struct RenderScratch {
   util::CaptureArena arena;
 };
 
-/// One luminaire of a multi-emitter scene: the sensor rectangle its
-/// image covers, the emission trace it plays, and the optical channel
-/// its light crosses (per-luminaire distance/occlusion). Non-owning —
-/// the scene compositor borrows all three for the duration of a render.
+/// One emitter of a frame: the sensor rectangle its image covers, the
+/// emission trace it plays, and the optical channel its light crosses
+/// (per-luminaire distance/occlusion). A single-LED capture is one
+/// emitter covering the whole sensor through the camera's own channel
+/// (RollingShutterCamera::full_view); a multi-luminaire scene is
+/// several. Non-owning — the renderer borrows all three for the
+/// duration of a render.
 struct RegionEmitter {
   const led::EmissionTrace* trace = nullptr;
   const channel::OpticalChannel* channel = nullptr;
@@ -147,41 +152,37 @@ class RollingShutterCamera {
   [[nodiscard]] CapturePlan plan_capture_span(double duration_s,
                                               double start_offset_s = 0.0);
 
+  /// The single-LED scene: `trace` flooding the whole sensor through
+  /// the camera's own channel. Borrows both, like every RegionEmitter.
+  [[nodiscard]] RegionEmitter full_view(const led::EmissionTrace& trace) const noexcept;
+
   /// Renders frame `frame_index` of `plan` into the caller-provided
   /// frame and scratch buffers (both resized in place, so pooled buffers
-  /// recycle their allocations). Pure function of (plan, frame_index):
-  /// the frame's randomness comes from a stream derived from
-  /// plan.stream_seed and the index.
+  /// recycle their allocations). Pure function of (emitters, plan,
+  /// frame_index): the frame's randomness comes from a stream derived
+  /// from plan.stream_seed and the index.
+  void render_planned_frame(std::span<const RegionEmitter> emitters, const CapturePlan& plan,
+                            int frame_index, Frame& out, RenderScratch& scratch) const;
+
+  /// Single-LED render_planned_frame: the one emitter full_view(trace).
   void render_planned_frame(const led::EmissionTrace& trace, const CapturePlan& plan,
                             int frame_index, Frame& out, RenderScratch& scratch) const;
 
   /// Renders one frame whose first scanline reads out at `start_time_s`,
-  /// drawing randomness from `rng`, into caller-provided buffers. The
-  /// re-entrant core every capture path shares.
-  void render_frame_into(const led::EmissionTrace& trace, double start_time_s,
+  /// drawing randomness from `rng`, into caller-provided buffers — the
+  /// re-entrant core every capture path shares. Each emitter's LED
+  /// response lands in its sensor rectangle on top of the camera
+  /// channel's ambient background; a column span's charge is clipped
+  /// at zero once, on its total. The vignette/mosaic/noise/demosaic/
+  /// encode chain follows. Auto exposure spot-meters the lit regions
+  /// (area-weighted over the emitters, each seen through its own
+  /// channel) — a phone meters the subject, and metering the mostly
+  /// dark full field would blow out a scene's strips. Throws
+  /// std::invalid_argument on a null trace/channel or a region that
+  /// does not fit the sensor.
+  void render_frame_into(std::span<const RegionEmitter> emitters, double start_time_s,
                          int frame_index, util::Xoshiro256& rng, Frame& out,
                          RenderScratch& scratch) const;
-
-  /// Scene-composite render: places every emitter's LED response into
-  /// its sensor rectangle on top of the camera channel's ambient
-  /// background, then applies the same vignette/mosaic/noise/demosaic/
-  /// encode chain as the single-trace path. Auto exposure spot-meters
-  /// the lit regions (area-weighted mean over the emitters, each seen
-  /// through its own channel) — a phone meters the subject, and
-  /// metering the mostly dark full field would blow out the strips.
-  /// Throws std::invalid_argument on a null trace/channel or a region
-  /// that does not fit the sensor.
-  void render_scene_frame_into(std::span<const RegionEmitter> emitters,
-                               double start_time_s, int frame_index,
-                               util::Xoshiro256& rng, Frame& out,
-                               RenderScratch& scratch) const;
-
-  /// Scene counterpart of render_planned_frame: renders plan frame
-  /// `frame_index` of a multi-emitter capture from its counter-derived
-  /// RNG stream. Pure function of (emitters, plan, frame_index).
-  void render_planned_scene_frame(std::span<const RegionEmitter> emitters,
-                                  const CapturePlan& plan, int frame_index, Frame& out,
-                                  RenderScratch& scratch) const;
 
   /// Vignetting gain at a pixel (1 at center, 1 - strength at corners,
   /// clamped at 0 so an extreme profile cannot produce negative charge).
@@ -200,19 +201,15 @@ class RollingShutterCamera {
   }
 
  private:
-  /// Linear sensor RGB for one scanline's exposure window, before noise.
-  [[nodiscard]] led::Vec3 expose_row(const led::EmissionTrace& trace, double read_time_s,
-                                     const ExposureSettings& settings) const noexcept;
-
   /// auto_exposure core on a radiance that already carries its channel
-  /// attenuation (the scene path attenuates per emitter; the classic
-  /// path applies the camera channel's static gain first).
+  /// attenuation (frame_exposure attenuates per emitter; auto_exposure
+  /// applies the camera channel's static gain first).
   [[nodiscard]] ExposureSettings auto_exposure_metered(
       const led::Vec3& attenuated_mean_radiance) const noexcept;
 
-  /// Scene auto-exposure decision plus AE-hunt jitter, shared by the
-  /// composite render path.
-  [[nodiscard]] ExposureSettings scene_exposure(std::span<const RegionEmitter> emitters,
+  /// The frame's exposure: the manual setting, or the spot-metered auto
+  /// exposure decision plus AE-hunt jitter drawn from `rng`.
+  [[nodiscard]] ExposureSettings frame_exposure(std::span<const RegionEmitter> emitters,
                                                 double start_time_s,
                                                 util::Xoshiro256& rng) const;
 

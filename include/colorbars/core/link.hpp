@@ -171,7 +171,9 @@ struct GoodputBatchResult {
 /// Derives the RS(n, k) code for a link so that one whole packet
 /// (delimiter + flag + size field + white-interleaved payload) fits into
 /// one frame-plus-gap period, with parity sized per the paper's §5 rule
-/// (2t = 2 * phi * C * Ls bits).
+/// (2t = 2 * phi * C * Ls bits). Throws std::invalid_argument unless
+/// both rates are finite and positive, loss_ratio is in [0, 1) and
+/// illumination_ratio is in (0, 1].
 [[nodiscard]] rs::CodeParameters derive_link_code(csk::CskOrder order,
                                                   double symbol_rate_hz,
                                                   double frame_rate_hz, double loss_ratio,
@@ -192,6 +194,8 @@ struct GoodputBatchResult {
 /// Orchestrates one transmitter/camera/receiver trio.
 class LinkSimulator {
  public:
+  /// Throws std::invalid_argument on an invalid channel spec or a
+  /// config derive_link_code rejects.
   explicit LinkSimulator(LinkConfig config);
 
   [[nodiscard]] const LinkConfig& config() const noexcept { return config_; }

@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "colorbars/camera/camera.hpp"
 #include "colorbars/led/emission.hpp"
@@ -51,9 +52,8 @@ struct SourceConfig {
 /// renderer for its frames. render() must be a pure function of
 /// (plan, frame_index) — refills fan the batch out over the runtime
 /// pool, and the determinism contract requires byte-identical frames at
-/// every thread count. CameraTraceRenderer adapts the classic
-/// single-trace camera path; scene::SceneFrameRenderer the
-/// multi-luminaire compositor.
+/// every thread count. CameraTraceRenderer is the library's renderer;
+/// the seam lets tools wrap it (e.g. to time each frame).
 class FrameRenderer {
  public:
   virtual ~FrameRenderer() = default;
@@ -64,29 +64,38 @@ class FrameRenderer {
                       camera::RenderScratch& scratch) const = 0;
 };
 
-/// The single-trace renderer every pre-scene capture used: one camera,
-/// one emission trace flooding the field of view. Construction consumes
-/// the camera's timing walk (plan_capture), exactly as the classic
-/// FrameSource constructor did.
+/// Renders a camera's frames of a set of emitters: one emitter flooding
+/// the field of view for a single-LED capture, or the luminaires of a
+/// multi-emitter scene, each on its own sensor rectangle. Construction
+/// consumes the camera's timing walk (plan_capture / plan_capture_span).
 class CameraTraceRenderer final : public FrameRenderer {
  public:
-  /// `camera` and `trace` must outlive the renderer.
+  /// Single-LED capture: camera.full_view(trace). `camera` and `trace`
+  /// must outlive the renderer.
   CameraTraceRenderer(camera::RollingShutterCamera& camera,
                       const led::EmissionTrace& trace, double start_offset_s = 0.0)
-      : camera_(camera), trace_(trace), plan_(camera.plan_capture(trace, start_offset_s)) {}
+      : CameraTraceRenderer(camera, {camera.full_view(trace)}, trace.duration(),
+                            start_offset_s) {}
   /// A temporary trace would dangle after this full-expression.
   CameraTraceRenderer(camera::RollingShutterCamera&, led::EmissionTrace&&, double = 0.0) =
       delete;
+  /// Scene capture spanning `duration_s`. `camera` and every emitter's
+  /// trace and channel must outlive the renderer.
+  CameraTraceRenderer(camera::RollingShutterCamera& camera,
+                      std::vector<camera::RegionEmitter> emitters, double duration_s,
+                      double start_offset_s = 0.0)
+      : camera_(camera), emitters_(std::move(emitters)),
+        plan_(camera.plan_capture_span(duration_s, start_offset_s)) {}
 
   [[nodiscard]] const camera::CapturePlan& plan() const noexcept override { return plan_; }
   void render(int frame_index, camera::Frame& out,
               camera::RenderScratch& scratch) const override {
-    camera_.render_planned_frame(trace_, plan_, frame_index, out, scratch);
+    camera_.render_planned_frame(emitters_, plan_, frame_index, out, scratch);
   }
 
  private:
-  camera::RollingShutterCamera& camera_;
-  const led::EmissionTrace& trace_;
+  const camera::RollingShutterCamera& camera_;
+  std::vector<camera::RegionEmitter> emitters_;
   camera::CapturePlan plan_;
 };
 
@@ -117,7 +126,7 @@ class FrameSink {
 };
 
 /// Pulls frames from a FrameRenderer through a bounded-lookahead
-/// prefetch ring of pooled buffers. With the classic constructor the
+/// prefetch ring of pooled buffers. With the camera+trace constructor the
 /// camera's member RNG advances exactly once, at construction
 /// (plan_capture), so interleaving other camera use during iteration is
 /// not supported.
@@ -131,7 +140,7 @@ class FrameSource {
   FrameSource(camera::RollingShutterCamera&, led::EmissionTrace&&, BufferPool&,
               SourceConfig = {}) = delete;
   /// Prefetches through an externally owned renderer (scene composites,
-  /// custom sources). `renderer` and `pool` must outlive the source.
+  /// wrapped renderers). `renderer` and `pool` must outlive the source.
   /// config.start_offset_s is ignored — the renderer's plan already
   /// fixed the capture timing.
   FrameSource(const FrameRenderer& renderer, BufferPool& pool, SourceConfig config = {});
@@ -162,7 +171,7 @@ class FrameSource {
   /// lookahead-sized batch in parallel.
   void refill();
 
-  /// Set by the classic camera+trace constructor; renderer_ points at it.
+  /// Set by the camera+trace constructor; renderer_ points at it.
   std::unique_ptr<CameraTraceRenderer> owned_renderer_;
   const FrameRenderer* renderer_ = nullptr;
   BufferPool& pool_;

@@ -53,24 +53,16 @@ struct StreamingConfig {
   long long tail_keep_slots = -1;
 };
 
-/// Per-stream decode-side counters (reset never; cumulative unless
-/// prefixed last_).
+/// Per-stream decode-side counters, cumulative over the stream (never
+/// reset).
 struct StreamingStats {
   long long drains = 0;              ///< poll()/finish() calls that parsed
   long long slots_ingested = 0;      ///< observations accepted from frames
   long long slots_scanned = 0;       ///< cumulative parse-loop positions
   long long slots_evicted = 0;       ///< slots dropped from the window
-  long long window_slots = 0;        ///< current retained window length
   long long peak_window_slots = 0;   ///< max window length ever retained
   double parse_time_s = 0.0;         ///< cumulative wall time inside drains
-  long long last_drain_slots_scanned = 0;
-  double last_drain_time_s = 0.0;
   long long epoch_switches = 0;      ///< begin_epoch reconfigurations
-  // Pipeline-side counters, populated by note_pipeline_stats when the
-  // receiver consumes a pipeline::FrameSource run (zero otherwise).
-  long long pool_frame_hits = 0;       ///< pooled frame buffers recycled
-  long long pool_frame_misses = 0;     ///< frame buffers freshly allocated
-  long long peak_resident_frames = 0;  ///< high-water mark of live frames
   // Capture-arena counters of this stream's scanline scratch (see
   // util::CaptureArena::Stats): every push_frame resets the arena once,
   // and a reuse hit means the frame's reduction ran without touching
@@ -83,8 +75,6 @@ struct StreamingStats {
   // reconfigurations.
   long long engine_decisions = 0;          ///< data-slot decisions taken
   long long engine_fallback_decisions = 0; ///< decided on the nearest fallback
-  double engine_margin_sum = 0.0;          ///< Σ per-decision ΔE margins
-  long long engine_margin_count = 0;
   long long engine_retrains = 0;           ///< successful tap estimations
   long long engine_train_fallbacks = 0;    ///< estimations the guard rejected
   double engine_tap_norm = 0.0;            ///< current epoch's equalizer ‖w‖₂
@@ -158,11 +148,8 @@ class StreamingReceiver : public pipeline::FrameSink {
   /// Total frames ingested.
   [[nodiscard]] int frames_ingested() const noexcept { return frames_ingested_; }
 
-  /// Decode-side counters (window size, eviction, per-drain cost).
+  /// Decode-side counters (window peak, eviction, parse cost).
   [[nodiscard]] const StreamingStats& stats() const noexcept { return stats_; }
-
-  /// Copies a pipeline run's pool/residency counters into stats().
-  void note_pipeline_stats(const pipeline::PipelineStats& pipeline) noexcept;
 
   /// Effective head holdback in slots (configured, or one frame period
   /// derived from symbol_rate_hz / frame_rate_hz plus a guard).
@@ -188,7 +175,7 @@ class StreamingReceiver : public pipeline::FrameSink {
   [[nodiscard]] std::size_t head_margin_slots() const noexcept;
 
   /// Records per-drain stats bookkeeping shared by every drain path.
-  void note_drain(double elapsed_s, long long scanned_before) noexcept;
+  void note_drain(double elapsed_s) noexcept;
 
   /// Refreshes the engine_* stats from the inner receiver's engine and
   /// equalizer state, on top of the accumulated pre-epoch base.
@@ -227,8 +214,6 @@ class StreamingReceiver : public pipeline::FrameSink {
   struct EngineStatsBase {
     long long decisions = 0;
     long long fallback_decisions = 0;
-    double margin_sum = 0.0;
-    long long margin_count = 0;
     long long retrains = 0;
     long long train_fallbacks = 0;
   } engine_base_;

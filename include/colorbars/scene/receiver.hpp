@@ -16,19 +16,6 @@
 
 namespace colorbars::scene {
 
-/// SceneReceiver tuning.
-struct SceneReceiverConfig {
-  /// Decode configuration shared by every lane (the scene's luminaires
-  /// transmit with the same modulation/coding).
-  rx::ReceiverConfig receiver{};
-  rx::StreamingConfig stream{};
-  rx::RoiTrackerConfig tracker{};
-  /// Columns shaved off each side of a tracked ROI before decoding —
-  /// edge columns mix the luminaire with the dark surround through
-  /// demosaic bleed. Ignored when the ROI is too narrow to afford it.
-  int column_margin = 1;
-};
-
 /// One tracked luminaire's decode lane. The receiver accumulates its
 /// per-ROI PacketRecord stream (rx::ReceiverReport).
 struct RoiDecodeLane {
@@ -54,7 +41,9 @@ struct SceneDecodeTotals {
 
 class SceneReceiver final : public pipeline::FrameSink {
  public:
-  explicit SceneReceiver(SceneReceiverConfig config);
+  /// `config` is the decode configuration every lane shares (the
+  /// scene's luminaires transmit with the same modulation/coding).
+  explicit SceneReceiver(rx::ReceiverConfig config);
 
   /// Tracks the frame, opens lanes for newly seen luminaires, and feeds
   /// every live lane its column slice (in parallel — lanes are
@@ -67,14 +56,14 @@ class SceneReceiver final : public pipeline::FrameSink {
   /// retired keep their decoded packets).
   [[nodiscard]] const std::vector<RoiDecodeLane>& lanes() const noexcept { return lanes_; }
   [[nodiscard]] const rx::RoiTracker& tracker() const noexcept { return tracker_; }
-  [[nodiscard]] const SceneReceiverConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const rx::ReceiverConfig& config() const noexcept { return config_; }
   [[nodiscard]] int frames_consumed() const noexcept { return frames_consumed_; }
 
   [[nodiscard]] SceneDecodeTotals totals() const;
 
  private:
-  SceneReceiverConfig config_;
-  rx::RoiTracker tracker_;
+  rx::ReceiverConfig config_;
+  rx::RoiTracker tracker_;  ///< default detection tuning
   std::vector<RoiDecodeLane> lanes_;
   int frames_consumed_ = 0;
 };

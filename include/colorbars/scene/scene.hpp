@@ -4,17 +4,16 @@
 // §10 LED-array outlook and the spatial-multiplexing leverage of
 // multilevel-OCC work in PAPERS.md): several independent LED
 // transmitters share one camera view, each imaged onto its own
-// rectangle of the sensor. The compositor renders all of them into each
-// frame (camera::render_scene_frame_into); SceneFrameRenderer adapts
-// that to pipeline::FrameRenderer, so scene captures stream through the
-// same pooled prefetch ring — and the same channel frame stages — as
-// single-LED ones.
+// rectangle of the sensor. A scene capture is the camera's one frame
+// renderer with N region emitters instead of one
+// (pipeline::CameraTraceRenderer), so it streams through the same
+// pooled prefetch ring — and the same channel frame stages — as a
+// single-LED capture.
 
 #include <vector>
 
 #include "colorbars/camera/camera.hpp"
 #include "colorbars/channel/channel.hpp"
-#include "colorbars/pipeline/pipeline.hpp"
 
 namespace colorbars::scene {
 
@@ -37,32 +36,6 @@ struct SceneSpec {
   /// luminaires by column interval, so a rolling-shutter receiver
   /// cannot split two emitters that share columns.
   void validate(const camera::SensorProfile& profile) const;
-};
-
-/// Renders the frames of a multi-luminaire capture plan. Construction
-/// consumes the camera's timing walk (plan_capture_span), mirroring
-/// pipeline::CameraTraceRenderer; the emitters' traces/channels must
-/// outlive the renderer.
-class SceneFrameRenderer final : public pipeline::FrameRenderer {
- public:
-  SceneFrameRenderer(camera::RollingShutterCamera& camera,
-                     std::vector<camera::RegionEmitter> emitters, double duration_s,
-                     double start_offset_s = 0.0);
-
-  [[nodiscard]] const camera::CapturePlan& plan() const noexcept override {
-    return plan_;
-  }
-  void render(int frame_index, camera::Frame& out,
-              camera::RenderScratch& scratch) const override;
-
-  [[nodiscard]] const std::vector<camera::RegionEmitter>& emitters() const noexcept {
-    return emitters_;
-  }
-
- private:
-  camera::RollingShutterCamera& camera_;
-  std::vector<camera::RegionEmitter> emitters_;
-  camera::CapturePlan plan_;
 };
 
 }  // namespace colorbars::scene

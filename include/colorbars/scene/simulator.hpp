@@ -27,9 +27,6 @@ namespace colorbars::scene {
 struct SceneConfig {
   core::LinkConfig link{};
   SceneSpec scene{};
-  rx::RoiTrackerConfig tracker{};
-  /// Columns shaved from each tracked ROI edge before decoding.
-  int column_margin = 1;
 };
 
 /// One luminaire's end-to-end outcome, after lane→luminaire attribution

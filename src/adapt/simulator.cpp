@@ -61,7 +61,6 @@ core::LinkConfig AdaptiveLinkConfig::link_at(const Rung& rung,
   link.channel = spec;
   link.calibration_rate_hz = calibration_rate_hz;
   link.classifier = classifier;
-  link.pipeline_lookahead = pipeline_lookahead;
   link.seed = seed;
   return link;
 }

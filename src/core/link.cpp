@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "colorbars/frontend/frontend.hpp"
 #include "colorbars/pd/frontend.hpp"
@@ -17,6 +18,20 @@ namespace colorbars::core {
 rs::CodeParameters derive_link_code(csk::CskOrder order, double symbol_rate_hz,
                                     double frame_rate_hz, double loss_ratio,
                                     double illumination_ratio) {
+  // A NaN, infinite or out-of-range input would reach the float-to-int
+  // casts below, which is undefined behaviour: reject it here.
+  if (!(std::isfinite(symbol_rate_hz) && symbol_rate_hz > 0.0 &&
+        std::isfinite(frame_rate_hz) && frame_rate_hz > 0.0)) {
+    throw std::invalid_argument(
+        "derive_link_code: symbol and frame rates must be finite and positive");
+  }
+  if (!(loss_ratio >= 0.0 && loss_ratio < 1.0)) {
+    throw std::invalid_argument("derive_link_code: loss_ratio must be in [0, 1)");
+  }
+  if (!(illumination_ratio > 0.0 && illumination_ratio <= 1.0)) {
+    throw std::invalid_argument("derive_link_code: illumination_ratio must be in (0, 1]");
+  }
+
   // Paper §5: one packet per frame period, sized so the packet plus its
   // header fits exactly into Fs + Ls symbol slots. Unlike the paper's
   // back-of-envelope formula we account for the packet overhead
@@ -24,6 +39,11 @@ rs::CodeParameters derive_link_code(csk::CskOrder order, double symbol_rate_hz,
   // header landing in the gap at exactly the loss ratio l.
   const int bits = csk::bits_per_symbol(order);
   const double slots_per_period = symbol_rate_hz / frame_rate_hz;  // Fs + Ls
+  // Bounded so data_symbols * bits (at most 8 bits a symbol) below
+  // stays inside int.
+  if (!(slots_per_period < std::numeric_limits<int>::max() / 8)) {
+    throw std::invalid_argument("derive_link_code: symbol_rate_hz / frame_rate_hz overflows");
+  }
   const int overhead_slots = static_cast<int>(protocol::delimiter_sequence().size() +
                                               protocol::data_flag_sequence().size()) +
                              protocol::size_field_symbols(order);
@@ -112,6 +132,7 @@ LinkSimulator::LinkSimulator(LinkConfig config)
   // Fail at construction, not at the first run_* call deep inside a
   // trial batch (mirrors ExposureSettings::validate).
   config_.channel.validate();
+  (void)config_.code();
 }
 
 namespace {

@@ -75,11 +75,10 @@ void PdSampler::render_block(int block_index, SampleBlock& out) const {
     const double t1 = t0 + period;
     // Every radiance-domain channel stage acts here: distance and
     // occlusion through signal_gain, ambient (with flicker) added on
-    // top — the same integrand the camera's expose_row evaluates,
+    // top — the same integrand the camera's per-row exposure evaluates,
     // minus the frame raster.
     // led_average routes the emission through the channel's delay-spread
-    // taps (identity when ISI is disabled), same as the camera's
-    // expose_row integrand.
+    // taps (identity when ISI is disabled), as the camera's does.
     const util::Vec3 incident = channel_.led_average(trace_, t0, t1) *
                                     channel_.signal_gain(t0, t1) +
                                 channel_.ambient_xyz(t0, t1);

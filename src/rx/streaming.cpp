@@ -67,8 +67,8 @@ void StreamingReceiver::ingest_slots(std::span<const SlotObservation> slots) {
     ++stats_.slots_ingested;
   }
   ++frames_ingested_;
-  stats_.window_slots = static_cast<long long>(window_.slots.size());
-  stats_.peak_window_slots = std::max(stats_.peak_window_slots, stats_.window_slots);
+  stats_.peak_window_slots =
+      std::max(stats_.peak_window_slots, static_cast<long long>(window_.slots.size()));
 }
 
 std::size_t StreamingReceiver::head_margin_slots() const noexcept {
@@ -81,22 +81,18 @@ void StreamingReceiver::refresh_engine_stats() noexcept {
   stats_.engine_decisions = engine_base_.decisions + decisions.decisions;
   stats_.engine_fallback_decisions =
       engine_base_.fallback_decisions + decisions.fallback_decisions;
-  stats_.engine_margin_sum = engine_base_.margin_sum + decisions.margin_sum;
-  stats_.engine_margin_count = engine_base_.margin_count + decisions.margin_count;
   stats_.engine_retrains = engine_base_.retrains + equalizer.retrains;
   stats_.engine_train_fallbacks =
       engine_base_.train_fallbacks + equalizer.train_fallbacks;
   stats_.engine_tap_norm = equalizer.tap_norm();
 }
 
-void StreamingReceiver::note_drain(double elapsed_s, long long scanned_before) noexcept {
+void StreamingReceiver::note_drain(double elapsed_s) noexcept {
   ++stats_.drains;
   refresh_engine_stats();
-  stats_.last_drain_slots_scanned = report_.slots_scanned - scanned_before;
   stats_.slots_scanned = report_.slots_scanned;
-  stats_.window_slots = static_cast<long long>(window_.slots.size());
-  stats_.peak_window_slots = std::max(stats_.peak_window_slots, stats_.window_slots);
-  stats_.last_drain_time_s = elapsed_s;
+  stats_.peak_window_slots =
+      std::max(stats_.peak_window_slots, static_cast<long long>(window_.slots.size()));
   stats_.parse_time_s += elapsed_s;
 }
 
@@ -104,7 +100,6 @@ std::size_t StreamingReceiver::drain(bool final_flush) {
   const std::size_t first_new = report_.packets.size();
   if (!window_valid_ || window_.slots.empty()) return first_new;
   const auto started = std::chrono::steady_clock::now();
-  const long long scanned_before = report_.slots_scanned;
   auto elapsed = [&started] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
         .count();
@@ -129,7 +124,7 @@ std::size_t StreamingReceiver::drain(bool final_flush) {
           receiver_.prescan_calibration(window_, prescan_position_, prescan_limit);
     }
     if (!final_flush && !receiver_.store().calibrated()) {
-      note_drain(elapsed(), scanned_before);
+      note_drain(elapsed());
       return first_new;
     }
   }
@@ -172,7 +167,7 @@ std::size_t StreamingReceiver::drain(bool final_flush) {
     stats_.slots_evicted += static_cast<long long>(evict);
   }
 
-  note_drain(elapsed(), scanned_before);
+  note_drain(elapsed());
   return first_new;
 }
 
@@ -199,8 +194,6 @@ void StreamingReceiver::begin_epoch(ReceiverConfig config) {
     const eq::EqualizerState& equalizer = receiver_.store().equalizer();
     engine_base_.decisions += decisions.decisions;
     engine_base_.fallback_decisions += decisions.fallback_decisions;
-    engine_base_.margin_sum += decisions.margin_sum;
-    engine_base_.margin_count += decisions.margin_count;
     engine_base_.retrains += equalizer.retrains;
     engine_base_.train_fallbacks += equalizer.train_fallbacks;
   }
@@ -217,7 +210,6 @@ void StreamingReceiver::begin_epoch(ReceiverConfig config) {
   latest_slot_ = -1;
   ++epoch_;
   ++stats_.epoch_switches;
-  stats_.window_slots = 0;
 }
 
 void StreamingReceiver::consume(const camera::Frame& frame) {
@@ -226,12 +218,5 @@ void StreamingReceiver::consume(const camera::Frame& frame) {
 }
 
 void StreamingReceiver::on_stream_end() { (void)drain(/*final_flush=*/true); }
-
-void StreamingReceiver::note_pipeline_stats(
-    const pipeline::PipelineStats& pipeline) noexcept {
-  stats_.pool_frame_hits = pipeline.pool.frame_hits;
-  stats_.pool_frame_misses = pipeline.pool.frame_misses;
-  stats_.peak_resident_frames = pipeline.pool.peak_outstanding_frames;
-}
 
 }  // namespace colorbars::rx

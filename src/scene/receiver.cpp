@@ -6,8 +6,17 @@
 
 namespace colorbars::scene {
 
-SceneReceiver::SceneReceiver(SceneReceiverConfig config)
-    : config_(std::move(config)), tracker_(config_.tracker) {}
+namespace {
+
+/// Columns shaved off each side of a tracked ROI before decoding — edge
+/// columns mix the luminaire with the dark surround through demosaic
+/// bleed. Skipped when the ROI is too narrow to afford it.
+constexpr int kColumnMargin = 1;
+
+}  // namespace
+
+SceneReceiver::SceneReceiver(rx::ReceiverConfig config)
+    : config_(std::move(config)) {}
 
 void SceneReceiver::consume(const camera::Frame& frame) {
   const std::vector<rx::TrackedRoi>& tracks = tracker_.update(frame);
@@ -23,8 +32,7 @@ void SceneReceiver::consume(const camera::Frame& frame) {
       RoiDecodeLane lane;
       lane.roi_id = track.id;
       lane.region = track.region;
-      lane.receiver =
-          std::make_unique<rx::StreamingReceiver>(config_.receiver, config_.stream);
+      lane.receiver = std::make_unique<rx::StreamingReceiver>(config_);
       lanes_.push_back(std::move(lane));
     } else {
       it->region = track.region;
@@ -49,9 +57,9 @@ void SceneReceiver::consume(const camera::Frame& frame) {
                             RoiDecodeLane& lane = *live[static_cast<std::size_t>(i)];
                             int begin = lane.region.left;
                             int end = lane.region.column_end();
-                            if (end - begin > 2 * config_.column_margin + 1) {
-                              begin += config_.column_margin;
-                              end -= config_.column_margin;
+                            if (end - begin > 2 * kColumnMargin + 1) {
+                              begin += kColumnMargin;
+                              end -= kColumnMargin;
                             }
                             lane.receiver->push_frame(frame, begin, end);
                             (void)lane.receiver->poll();

@@ -25,15 +25,4 @@ void SceneSpec::validate(const camera::SensorProfile& profile) const {
   }
 }
 
-SceneFrameRenderer::SceneFrameRenderer(camera::RollingShutterCamera& camera,
-                                       std::vector<camera::RegionEmitter> emitters,
-                                       double duration_s, double start_offset_s)
-    : camera_(camera), emitters_(std::move(emitters)),
-      plan_(camera.plan_capture_span(duration_s, start_offset_s)) {}
-
-void SceneFrameRenderer::render(int frame_index, camera::Frame& out,
-                                camera::RenderScratch& scratch) const {
-  camera_.render_planned_scene_frame(emitters_, plan_, frame_index, out, scratch);
-}
-
 }  // namespace colorbars::scene

@@ -96,18 +96,15 @@ SceneRunResult SceneSimulator::run_goodput(double duration_s) {
     scene_duration = std::max(scene_duration, transmissions[i].duration_s());
   }
 
-  SceneReceiverConfig receiver_config;
-  receiver_config.receiver = config_.link.receiver_config();
-  receiver_config.tracker = config_.tracker;
-  receiver_config.column_margin = config_.column_margin;
-  SceneReceiver receiver(receiver_config);
+  SceneReceiver receiver(config_.link.receiver_config());
 
   const channel::StageChain stages(
       config_.link.channel, runtime::derive_stream_seed(camera_seed, kSceneStageStream));
   pipeline::BufferPool pool;
   pipeline::SourceConfig source_config;
   source_config.lookahead = config_.link.pipeline_lookahead;
-  SceneFrameRenderer renderer(camera, std::move(emitters), scene_duration, start_offset);
+  const pipeline::CameraTraceRenderer renderer(camera, std::move(emitters), scene_duration,
+                                               start_offset);
   pipeline::FrameSource source(renderer, pool, source_config);
   (void)pipeline::run_pipeline(source, stages.stages(), receiver);
 

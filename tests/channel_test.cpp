@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -55,8 +56,11 @@ led::EmissionTrace golden_trace() {
 }
 
 std::uint64_t capture_hash(const camera::SensorProfile& profile,
-                           const led::EmissionTrace& trace) {
-  camera::RollingShutterCamera camera(profile, channel::OpticalChannel{}, 0x901d);
+                           const led::EmissionTrace& trace,
+                           const channel::ChannelSpec& spec = {},
+                           const std::optional<camera::ExposureSettings>& manual = {}) {
+  camera::RollingShutterCamera camera(profile, spec, 0x901d);
+  if (manual.has_value()) camera.set_manual_exposure(*manual);
   const auto frames = camera.capture_video(trace, 0.004);
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const auto& frame : frames) {
@@ -122,6 +126,69 @@ TEST(Channel, GoldenHashesHoldOnEverySimdBackend) {
       EXPECT_EQ(capture_hash(golden.profile, trace), golden.hash)
           << golden.profile.name << " diverged on the " << simd::backend_name(backend)
           << " backend";
+    }
+  }
+  ASSERT_TRUE(simd::set_backend(saved));
+}
+
+TEST(Channel, ChannelAndExposureBranchesReproduceFrozenCaptures) {
+  // Pins the single-LED render branches the identity goldens leave
+  // open: attenuated metering, per-row flickering ambient, occlusion
+  // signal gain, delay-spread ISI and manual exposure. Frozen from the
+  // two-path renderer (separate single-trace and scene-composite
+  // bodies) before they were merged into one compositor.
+  channel::ChannelSpec distance;
+  distance.distance.distance_m = 0.13;
+  distance.distance.reference_distance_m = 0.08;
+  channel::ChannelSpec flicker;
+  flicker.ambient.level = 0.05;
+  flicker.flicker.frequency_hz = 100.0;
+  flicker.flicker.modulation_depth = 0.5;
+  channel::ChannelSpec occlusion;
+  occlusion.occlusion.rate_hz = 8.0;
+  occlusion.occlusion.mean_duration_s = 0.03;
+  occlusion.occlusion.transmission = 0.2;
+  channel::ChannelSpec isi;
+  isi.isi.delay_spread_s = 1e-4;
+  isi.isi.tap_spacing_s = 5e-5;
+  const channel::ChannelSpec specs[] = {{}, distance, flicker, occlusion, isi};
+  const char* const names[] = {"identity", "distance", "flicker", "occlusion", "isi"};
+  camera::ExposureSettings manual;
+  manual.exposure_s = 1.0 / 2000.0;
+  manual.iso = 200.0;
+  const std::optional<camera::ExposureSettings> exposures[] = {std::nullopt, manual};
+  const camera::SensorProfile profiles[] = {camera::nexus5_profile(),
+                                            camera::ideal_profile()};
+  // Indexed [spec][exposure: auto, manual][profile: nexus5, ideal].
+  const std::uint64_t goldens[5][2][2] = {
+      {{0x6e375ae069668e59ULL, 0xe6aaf81a7a6e01daULL},
+       {0x6d5b310746c90db8ULL, 0x231c506005fc0316ULL}},
+      {{0xfe1ccdd39a167693ULL, 0x626dce76ccd1533fULL},
+       {0x80328b2705c59deeULL, 0xb56b028f1dfb0b11ULL}},
+      {{0xd0ffb7d579ce3f8dULL, 0xa52d403dcfdcb3f7ULL},
+       {0xa58bb485289d77bcULL, 0x38720775dea0b726ULL}},
+      {{0x39f43f180c3c633cULL, 0x2b9b44920969bfa0ULL},
+       {0x1c60abd1bf7ed7f4ULL, 0x2bea90b9d1ba2272ULL}},
+      {{0x360c4b4a180fd367ULL, 0xa99c7ff75cf69ab4ULL},
+       {0x69b6ffc9522873d0ULL, 0xc77af2bc34c63068ULL}},
+  };
+  const led::EmissionTrace trace = golden_trace();
+  const simd::Backend saved = simd::active_backend();
+  for (const simd::Backend backend :
+       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2,
+        simd::Backend::kNeon}) {
+    if (!simd::backend_supported(backend)) continue;
+    ASSERT_TRUE(simd::set_backend(backend));
+    for (int s = 0; s < 5; ++s) {
+      for (int e = 0; e < 2; ++e) {
+        for (int p = 0; p < 2; ++p) {
+          EXPECT_EQ(capture_hash(profiles[p], trace, specs[s], exposures[e]),
+                    goldens[s][e][p])
+              << names[s] << (e == 0 ? " auto" : " manual") << " on "
+              << profiles[p].name << " diverged on the "
+              << simd::backend_name(backend) << " backend";
+        }
+      }
     }
   }
   ASSERT_TRUE(simd::set_backend(saved));

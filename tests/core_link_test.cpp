@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace colorbars::core {
 namespace {
 
@@ -24,6 +27,43 @@ TEST(DeriveLinkCode, HigherLossMeansMoreParity) {
   const rs::CodeParameters low = derive_link_code(csk::CskOrder::kCsk8, 4000, 30, 0.23, 0.8);
   const rs::CodeParameters high = derive_link_code(csk::CskOrder::kCsk8, 4000, 30, 0.37, 0.8);
   EXPECT_GT(high.n - high.k, low.n - low.k);
+}
+
+TEST(DeriveLinkCode, RejectsNonFiniteAndOutOfRangeInputs) {
+  // Each of these would otherwise reach a float-to-int cast as NaN or
+  // out of range (undefined behaviour).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const csk::CskOrder order = csk::CskOrder::kCsk8;
+  for (const double rate : {nan, inf, -inf, 0.0, -2000.0}) {
+    EXPECT_THROW((void)derive_link_code(order, rate, 30, 0.25, 0.8), std::invalid_argument)
+        << "symbol rate " << rate;
+    EXPECT_THROW((void)derive_link_code(order, 2000, rate, 0.25, 0.8), std::invalid_argument)
+        << "frame rate " << rate;
+  }
+  for (const double loss : {nan, -0.1, 1.0}) {
+    EXPECT_THROW((void)derive_link_code(order, 2000, 30, loss, 0.8), std::invalid_argument)
+        << "loss ratio " << loss;
+  }
+  for (const double phi : {nan, 0.0, -0.5, 1.5}) {
+    EXPECT_THROW((void)derive_link_code(order, 2000, 30, 0.25, phi), std::invalid_argument)
+        << "illumination ratio " << phi;
+  }
+  // Finite but too many slots per frame for the int slot arithmetic.
+  EXPECT_THROW((void)derive_link_code(order, 1e300, 30, 0.25, 0.8), std::invalid_argument);
+  // The closed ends of the valid ranges stay accepted.
+  EXPECT_NO_THROW((void)derive_link_code(order, 2000, 30, 0.0, 1.0));
+}
+
+TEST(LinkSimulator, RejectsInvalidLinkCodeAtConstruction) {
+  LinkConfig config;
+  config.symbol_rate_hz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)LinkSimulator(config), std::invalid_argument);
+  config.symbol_rate_hz = 2000;
+  config.illumination_ratio = 0.0;
+  EXPECT_THROW((void)LinkSimulator(config), std::invalid_argument);
+  config.illumination_ratio = 0.8;
+  EXPECT_NO_THROW((void)LinkSimulator(config));
 }
 
 TEST(LinkConfig, TransmitterAndReceiverAgree) {

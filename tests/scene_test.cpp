@@ -61,7 +61,7 @@ TEST(Scene, CompositorPlacesLuminairesAndKeepsSurroundDark) {
   emitters.push_back({&trace, &optics_a, strip(8, 16, profile)});
   emitters.push_back({&trace, &optics_b, strip(40, 16, profile)});
 
-  SceneFrameRenderer renderer(camera, std::move(emitters), trace.duration());
+  const pipeline::CameraTraceRenderer renderer(camera, std::move(emitters), trace.duration());
   EXPECT_GT(renderer.plan().frame_count(), 0);
 
   camera::Frame frame;
@@ -108,11 +108,11 @@ TEST(Scene, CompositorRejectsBadEmitters) {
       protocol::drives_of({protocol::ChannelSymbol::white()}, constellation), 1000.0);
 
   const std::vector<camera::RegionEmitter> null_trace{{nullptr, &optics, strip(0, 8, profile)}};
-  EXPECT_THROW(camera.render_scene_frame_into(null_trace, 0.0, 0, rng, frame, scratch),
+  EXPECT_THROW(camera.render_frame_into(null_trace, 0.0, 0, rng, frame, scratch),
                std::invalid_argument);
   const std::vector<camera::RegionEmitter> outside{
       {&trace, &optics, strip(60, 16, profile)}};
-  EXPECT_THROW(camera.render_scene_frame_into(outside, 0.0, 0, rng, frame, scratch),
+  EXPECT_THROW(camera.render_frame_into(outside, 0.0, 0, rng, frame, scratch),
                std::invalid_argument);
 }
 
@@ -162,8 +162,7 @@ TEST(Scene, SimulatorValidatesSceneAtConstruction) {
 TEST(Scene, ReceiverKeepsRetiredLanePackets) {
   // A lane whose track retires must keep its decoded packets in lanes()
   // (totals aggregate over every lane ever opened).
-  SceneReceiverConfig config;
-  SceneReceiver receiver(config);
+  SceneReceiver receiver(rx::ReceiverConfig{});
   EXPECT_EQ(receiver.lanes().size(), 0u);
   EXPECT_EQ(receiver.totals().lanes, 0);
   receiver.on_stream_end();  // no lanes: must be a harmless no-op
