@@ -38,9 +38,9 @@ int main() {
   bench::print_header("Fig. 9: SER vs symbol frequency (CIELab matching, auto exposure)");
   bench::JsonReport report("fig9_ser");
 
-  // One parallel_for over the grid points; each point's trial loop runs
-  // inline (nested region) on derived seeds, so the results do not
-  // depend on scheduling. The print loops below just index them.
+  // One parallel_for over the grid points; each point's trial loop is a
+  // nested region on derived seeds, so the results do not depend on
+  // scheduling. The print loops below just index them.
   std::vector<core::LinkConfig> points;
   for (const auto& profile : {camera::nexus5_profile(), camera::iphone5s_profile()}) {
     for (const csk::CskOrder order : csk::all_orders()) {

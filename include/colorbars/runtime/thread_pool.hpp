@@ -9,10 +9,14 @@
 //     contract results are byte-identical at any thread count.
 //  2. No work stealing, no per-task allocation: one atomic chunk cursor
 //     per region that workers and the calling thread race to claim.
-//  3. Nested calls degrade gracefully: a parallel_for issued from inside
-//     a parallel region runs inline on the calling thread, so outer
-//     parallelism (e.g. Monte-Carlo trials) is never deadlocked or
-//     oversubscribed by inner parallelism (e.g. frame synthesis).
+//  3. Nested calls share idle workers without deadlock: a parallel_for
+//     issued from inside a parallel region publishes its own region, and
+//     a worker with no chunk in hand claims chunks of the innermost open
+//     region that has some left. So inner parallelism (e.g. frame
+//     synthesis) fills the cores that outer parallelism (e.g. fewer
+//     Monte-Carlo trials than threads) leaves idle. A caller waits only
+//     for chunks of its own region and never takes unrelated work, so
+//     the waits follow the call tree and cannot cycle.
 
 #include <cstdint>
 #include <functional>
@@ -38,8 +42,9 @@ class ThreadPool {
   /// most `chunk` indices. Blocks until the whole range is done; the
   /// calling thread participates. The first exception thrown by `body`
   /// is rethrown here (remaining chunks may be skipped). Runs inline
-  /// when the pool is single-threaded, the range fits one chunk, or the
-  /// call is nested inside another parallel region.
+  /// when the pool is single-threaded or the range fits one chunk; a
+  /// call nested inside another parallel region is shared with idle
+  /// workers like a top-level one.
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t chunk,
                     const std::function<void(std::int64_t, std::int64_t)>& body);
 

@@ -38,7 +38,7 @@ void FrameSource::refill() {
   // Frame i depends only on (plan, base + i): rendering the batch in
   // parallel with per-frame derived RNG streams is byte-identical at
   // any thread count. Nested inside an outer parallel region (batch
-  // Monte-Carlo trials) this runs inline, per the pool's contract.
+  // Monte-Carlo trials) the batch is shared with the pool's idle workers.
   runtime::parallel_for(0, batch, 1, [&](std::int64_t lo, std::int64_t hi) {
     camera::RenderScratch scratch = pool_.acquire_scratch();
     for (std::int64_t i = lo; i < hi; ++i) {

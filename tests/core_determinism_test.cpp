@@ -92,13 +92,14 @@ TEST(Determinism, SerTrialsIdenticalAcrossThreadCounts) {
   auto run = [] {
     core::LinkSimulator sim(small_link());
     const core::SerBatchResult batch = sim.run_ser_trials(3, 400);
-    std::vector<long long> flat;
+    std::vector<std::uint64_t> flat;
     for (const core::SerResult& trial : batch.trials) {
-      flat.push_back(trial.symbols_sent);
-      flat.push_back(trial.symbols_observed);
-      flat.push_back(trial.symbol_errors);
+      flat.push_back(static_cast<std::uint64_t>(trial.symbols_sent));
+      flat.push_back(static_cast<std::uint64_t>(trial.symbols_observed));
+      flat.push_back(static_cast<std::uint64_t>(trial.symbol_errors));
     }
-    flat.push_back(static_cast<long long>(batch.ser.mean * 1e15));
+    flat.push_back(std::bit_cast<std::uint64_t>(batch.ser.mean));
+    flat.push_back(std::bit_cast<std::uint64_t>(batch.ser.stddev));
     return flat;
   };
   expect_same_at_all_thread_counts(run);
@@ -162,8 +163,9 @@ std::vector<std::uint64_t> flatten_sweep(const std::vector<core::SerBatchResult>
 }
 
 // The figure-sweep shape (bench_fig9_ser): an outer parallel_for over
-// grid points whose run_ser_trials regions then run inline. The result
-// must match a plain sequential loop over the points bit for bit.
+// grid points whose run_ser_trials regions nest inside it and share
+// idle workers. The result must match a plain sequential loop over the
+// points bit for bit.
 TEST(Determinism, PointParallelSerSweepIdenticalAcrossThreadCounts) {
   std::vector<core::LinkConfig> points;
   auto add_point = [&](const camera::SensorProfile& profile, csk::CskOrder order) {
@@ -231,6 +233,31 @@ std::vector<long long> flatten_report(const rx::ReceiverReport& report) {
   flat.push_back(static_cast<long long>(report.decision_margin_sum * 1e6));
   flat.push_back(report.decision_margin_count);
   return flat;
+}
+
+// The figure-point shape (run_*_trials(2, ...) on a phone profile):
+// fewer trials than threads, so idle workers join each trial's nested
+// frame-refill and row-reduction regions.
+TEST(Determinism, TwoTrialNexus5BatchesIdenticalAcrossThreadCounts) {
+  core::LinkConfig link = small_link();
+  link.profile = camera::nexus5_profile();
+  auto run = [&] {
+    const core::LinkSimulator sim(link);
+    std::vector<std::uint64_t> flat = flatten_sweep({sim.run_ser_trials(2, 300)});
+    const core::GoodputBatchResult goodput = sim.run_goodput_trials(2, 0.4);
+    for (const core::LinkRunResult& trial : goodput.trials) {
+      for (long long value : flatten_report(trial.report)) {
+        flat.push_back(static_cast<std::uint64_t>(value));
+      }
+      flat.push_back(trial.payload_bytes);
+      flat.push_back(trial.recovered_bytes);
+      flat.push_back(std::bit_cast<std::uint64_t>(trial.air_time_s));
+    }
+    flat.push_back(std::bit_cast<std::uint64_t>(goodput.goodput_bps.mean));
+    flat.push_back(std::bit_cast<std::uint64_t>(goodput.goodput_bps.stddev));
+    return flat;
+  };
+  expect_same_at_all_thread_counts(run);
 }
 
 TEST(Determinism, StreamedPipelineMatchesBufferedCaptureAcrossThreadCounts) {

@@ -4,7 +4,8 @@
 #   1. ASan + UBSan (-DCOLORBARS_SANITIZE=ON): the full suite.
 #   2. TSan (-DCOLORBARS_TSAN=ON): the thread-pool, determinism, and
 #      streaming-pipeline tests, which exercise every concurrent code
-#      path (parallel_for regions, shared-pool resizing, concurrent
+#      path (parallel_for regions, nested regions whose chunks idle
+#      workers claim, shared-pool resizing, concurrent
 #      const reads of EmissionTrace prefix sums during frame synthesis,
 #      BufferPool acquire/release from prefetch refills, concurrent
 #      const OpticalChannel queries from parallel row integrals, the
