@@ -34,9 +34,9 @@ namespace colorbars::color {
 inline constexpr int kLabFTableSamples = 4097;
 
 /// The raw f() sample table behind lab_f_fast, exposed so the SIMD
-/// backends can gather from the exact same values the scalar chain
-/// interpolates (byte-identity requires sharing the table, not
-/// rebuilding it).
+/// backends can copy their tables from the exact same values the
+/// scalar chain interpolates (byte-identity requires sharing the
+/// values, not recomputing them).
 [[nodiscard]] const std::array<double, kLabFTableSamples>& lab_f_table_values() noexcept;
 
 /// The per-channel pixel -> white-normalized-XYZ contribution tables

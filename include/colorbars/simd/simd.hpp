@@ -16,27 +16,30 @@
 // randomized plus every misalignment offset for the rest), and
 // channel_test re-verifies the golden hashes per backend.
 //
-// Dispatch: the scalar backend always exists; SSE4.2/AVX2 are compiled
-// when the build targets x86-64 with COLORBARS_SIMD=ON and selected at
-// runtime via CPUID, NEON when targeting AArch64. The environment
-// variable COLORBARS_SIMD_BACKEND (scalar|sse42|avx2|neon) pins the
-// initial choice, set_backend() overrides programmatically (used by the
-// byte-identity tests and bench_micro --compare).
+// Dispatch: the scalar backend always exists. SSE4.2 is compiled when
+// the build targets x86-64 with COLORBARS_SIMD=ON and selected at
+// runtime via CPUID; its row reduction reads one 32-byte record per
+// channel code and one (f, step) pair per CIE f() interval, with no
+// gathers. NEON is compiled when targeting AArch64 (its demosaic and
+// row reduction are the scalar loops); it is compile-only — no test
+// or bench has ever executed it. The environment variable
+// COLORBARS_SIMD_BACKEND (scalar|sse42|neon) pins the initial choice,
+// set_backend() overrides programmatically (used by the byte-identity
+// tests and bench_micro --compare).
 //
 // Alignment contract: no kernel requires aligned pointers — interior
-// lanes use unaligned vector loads and every kernel falls back to a
-// scalar prologue/epilogue for ranges the vector width does not cover,
-// so odd ROI widths and non-16-byte-aligned column starts are safe.
-// Arena-backed rows (util::CaptureArena) are 64-byte aligned anyway,
-// which keeps the common case on the fast path.
+// lanes use unaligned vector loads (the aligned ones read only the
+// backend's own tables) and every kernel falls back to a scalar tail
+// for ranges the vector width does not cover, so odd ROI widths and
+// unaligned column starts are safe.
 
 #include "colorbars/color/srgb.hpp"
 
 namespace colorbars::simd {
 
-enum class Backend { kScalar = 0, kSse42 = 1, kAvx2 = 2, kNeon = 3 };
+enum class Backend { kScalar, kSse42, kNeon };
 
-/// Human-readable backend name ("scalar", "sse42", "avx2", "neon").
+/// Human-readable backend name ("scalar", "sse42", "neon").
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
 
 /// True when the backend's kernels are compiled into this binary.
@@ -46,7 +49,8 @@ enum class Backend { kScalar = 0, kSse42 = 1, kAvx2 = 2, kNeon = 3 };
 [[nodiscard]] bool backend_supported(Backend backend) noexcept;
 
 /// The backend the kernels below currently dispatch to. Defaults to the
-/// widest supported one, unless COLORBARS_SIMD_BACKEND pins another.
+/// vector backend when supported, unless COLORBARS_SIMD_BACKEND pins
+/// another.
 [[nodiscard]] Backend active_backend() noexcept;
 
 /// Forces dispatch to `backend`; returns false (and changes nothing)

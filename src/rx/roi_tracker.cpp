@@ -4,8 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "colorbars/color/lut.hpp"
 #include "colorbars/runtime/thread_pool.hpp"
+#include "colorbars/simd/simd.hpp"
 
 namespace colorbars::rx {
 
@@ -41,23 +41,15 @@ RowMeans reduce_rows(const camera::Frame& frame, int cell_columns, int grid_colu
       for (int g = 0; g < grid_columns; ++g) {
         const int begin = g * cell_columns;
         const int end = std::min(begin + cell_columns, frame.columns);
-        double sum_l = 0.0;
-        double sum_a = 0.0;
-        double sum_b = 0.0;
-        for (int c = begin; c < end; ++c) {
-          const color::Lab lab =
-              color::rgb8_to_lab_fast(frame.at(static_cast<int>(r), c));
-          sum_l += lab.L;
-          sum_a += lab.a;
-          sum_b += lab.b;
-        }
+        simd::RowSums sums;
+        simd::row_lab_rgb_sums(&frame.at(static_cast<int>(r), begin), end - begin, sums);
         const double inv = 1.0 / (end - begin);
         const std::size_t index =
             static_cast<std::size_t>(r) * static_cast<std::size_t>(grid_columns) +
             static_cast<std::size_t>(g);
-        means.l[index] = sum_l * inv;
-        means.a[index] = sum_a * inv;
-        means.b[index] = sum_b * inv;
+        means.l[index] = sums.l * inv;
+        means.a[index] = sums.a * inv;
+        means.b[index] = sums.b * inv;
       }
     }
   });

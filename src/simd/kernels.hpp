@@ -1,15 +1,15 @@
 #pragma once
 
 // Internal plumbing of colorbars::simd: the per-backend kernel tables
-// the dispatcher selects between, the SoA copies of the color LUTs the
-// gather kernels read, and the scalar reference loops every backend
-// reuses as prologue/epilogue.
+// the dispatcher selects between, and the scalar reference loops every
+// backend reuses as its tail (and NEON as its demosaic and row
+// reduction).
 //
 // The scalar helpers are defined in an anonymous namespace on purpose:
 // each backend TU is compiled with its own ISA flags, and internal
 // linkage guarantees the linker can never substitute (say) the
-// AVX2-compiled copy of an epilogue into the scalar backend that a
-// non-AVX CPU runs. The duplication is a few hundred bytes per TU.
+// SSE4.2-compiled copy of a tail into the scalar backend that a CPU
+// without SSE4.2 runs. The duplication is a few hundred bytes per TU.
 
 #include <cmath>
 
@@ -33,26 +33,10 @@ struct KernelTable {
 extern const KernelTable kScalarKernels;
 #if defined(COLORBARS_SIMD_X86)
 extern const KernelTable kSse42Kernels;
-extern const KernelTable kAvx2Kernels;
 #endif
 #if defined(COLORBARS_SIMD_NEON)
 extern const KernelTable kNeonKernels;
 #endif
-
-/// Structure-of-arrays copies of the color LUTs, laid out for vector
-/// gathers: contrib[channel][component][code] and encode[code]
-/// (= code/255.0, the exact from_rgb8 value). The doubles are copied
-/// bit-for-bit from the scalar tables, so gathering from here is
-/// byte-identical to indexing the originals.
-struct LutSoA {
-  alignas(64) double contrib[3][3][256];
-  alignas(64) double encode[256];
-  /// One-past-the-end pad so a lerp gather of values[index + 1] at the
-  /// clamped top index stays in bounds.
-  alignas(64) double lab_f[color::kLabFTableSamples + 1];
-};
-
-const LutSoA& lut_soa() noexcept;
 
 namespace {
 

@@ -1,13 +1,12 @@
 // NEON (AArch64) backend: 2 double lanes for the pointwise kernels
-// (vignette, shot sigma, ΔE). The gather-heavy demosaic and Lab
-// reduction kernels stay on the scalar reference here — NEON has no
-// double-precision gather and the scalar LUT chain is already
-// load-bound — so this backend's table routes them to the scalar
-// segments. Compiled only when the build targets AArch64
-// (COLORBARS_SIMD_NEON); byte-identity follows the same no-FMA,
-// same-operation-order argument as the x86 backends (vmul/vadd are the
-// separately-rounded instructions, vfma is never emitted from these
-// intrinsics).
+// (vignette, shot sigma, ΔE). The demosaic and Lab reduction kernels
+// stay on the scalar reference here, so this backend's table routes
+// them to the scalar segments. Compiled only when the build targets
+// AArch64 (COLORBARS_SIMD_NEON); byte-identity follows the same
+// no-FMA, same-operation-order argument as the SSE4.2 backend
+// (vmul/vadd are the separately-rounded instructions, vfma is never
+// emitted from these intrinsics). Compile-only: CI cross-compiles it,
+// but no test or bench has ever executed it on AArch64 hardware.
 
 #if defined(COLORBARS_SIMD_NEON)
 

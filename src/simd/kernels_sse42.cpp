@@ -1,8 +1,12 @@
-// SSE4.2 backend: 2 double lanes per step, no gathers (table reads are
-// scalar loads packed into vectors). Compiled with -msse4.2 only — the
-// same no-FMA byte-identity argument as the AVX2 TU applies. Structure
-// mirrors kernels_avx2.cpp at half width; see that file for the
-// reasoning behind each operation order.
+// SSE4.2 backend: 2 double lanes per step. Compiled with -msse4.2 but
+// WITHOUT -mfma — byte-identity with the scalar reference depends on
+// a*b+c staying a rounded multiply followed by a rounded add, and the
+// compiler cannot contract what the ISA it was given cannot encode.
+// Every kernel mirrors the scalar reference's per-element operation
+// order exactly (lanes are pixels for the pointwise maps; reductions
+// accumulate per-pixel vectors in pixel order), and falls back to the
+// scalar segment helpers for the sub-width tail of any range, so odd
+// widths and unaligned column starts need no masked loads.
 
 #include <immintrin.h>
 
@@ -12,16 +16,53 @@ namespace colorbars::simd::detail {
 
 namespace {
 
-/// Two scalar table loads packed as [lane0 = base[i0], lane1 = base[i1]].
-inline __m128d gather2(const double* base, int i0, int i1) {
-  return _mm_set_pd(base[i1], base[i0]);
+/// One 8-bit channel code's share of a pixel: its white-normalized XYZ
+/// contribution and its encoded value code/255.0, so a pixel's XYZ and
+/// encoded RGB come from two aligned 128-bit loads per channel.
+struct alignas(32) ChannelRecord {
+  double x, y, z, encoded;
+};
+
+/// One CIE f() interval: the sample f[i] and the step f[i+1] - f[i], so
+/// a lookup is one 128-bit load.
+struct alignas(16) LabFStep {
+  double value, delta;
+};
+
+/// The row reduction's tables, copied bit-for-bit from the scalar
+/// chain's (color::rgb8_lab_contributions, lab_f_table_values). The
+/// delta is the same IEEE subtraction lab_f_fast performs per call, so
+/// value + delta * fraction reproduces its lerp exactly.
+struct RowLabTables {
+  ChannelRecord channel[3][256];
+  LabFStep lab_f[color::kLabFTableSamples - 1];
+};
+
+const RowLabTables& row_lab_tables() noexcept {
+  static const RowLabTables tables = [] {
+    RowLabTables t;
+    const auto& contributions = color::rgb8_lab_contributions();
+    for (std::size_t channel = 0; channel < 3; ++channel) {
+      for (std::size_t code = 0; code < 256; ++code) {
+        const util::Vec3& v = contributions[channel][code];
+        // code / 255.0 is from_rgb8's exact division.
+        t.channel[channel][code] = {v.x, v.y, v.z, static_cast<double>(code) / 255.0};
+      }
+    }
+    const auto& f = color::lab_f_table_values();
+    for (std::size_t i = 0; i + 1 < f.size(); ++i) t.lab_f[i] = {f[i], f[i + 1] - f[i]};
+    return t;
+  }();
+  return tables;
 }
 
 void demosaic_interior_sse42(const double* raw, int rows, int columns,
                              double* rgb_out) {
   // Multiplying by 0.25 / 0.5 is bit-identical to the reference's
   // division by 4.0 / 2.0 (power-of-two reciprocals are exact) and
-  // avoids the non-pipelined divider.
+  // avoids the non-pipelined divider. The neighbor sums keep the
+  // reference's order: ((up + left) + right) + down for the plus
+  // pattern, ((ul + ur) + dl) + dr for the diagonals.
   if (rows <= 2 || columns <= 2) return;
   const __m128d quarter = _mm_set1_pd(0.25);
   const __m128d half = _mm_set1_pd(0.5);
@@ -73,42 +114,50 @@ void demosaic_interior_sse42(const double* raw, int rows, int columns,
   }
 }
 
-/// Vector lab_f_fast over 2 lanes; same structure as the AVX2 variant.
-__m128d lab_f_fast_2(__m128d t, const double* values) {
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d scale = _mm_set1_pd(static_cast<double>(color::kLabFTableSamples - 1));
-  const __m128d in_range = _mm_and_pd(_mm_cmpge_pd(t, zero), _mm_cmple_pd(t, one));
-  const __m128d scaled = _mm_mul_pd(t, scale);
-  const __m128i index = _mm_cvttpd_epi32(scaled);  // lanes 2,3 zeroed
-  __m128i idx = _mm_max_epi32(index, _mm_setzero_si128());
-  idx = _mm_min_epi32(idx, _mm_set1_epi32(color::kLabFTableSamples - 2));
-  const int i0 = _mm_cvtsi128_si32(idx);
-  const int i1 = _mm_extract_epi32(idx, 1);
-  const __m128d v0 = gather2(values, i0, i1);
-  const __m128d v1 = gather2(values + 1, i0, i1);
-  const __m128d fraction = _mm_sub_pd(scaled, _mm_cvtepi32_pd(idx));
-  __m128d result = _mm_add_pd(v0, _mm_mul_pd(_mm_sub_pd(v1, v0), fraction));
-  const __m128i top32 = _mm_cmpgt_epi32(index, _mm_set1_epi32(color::kLabFTableSamples - 2));
-  const __m128d top_mask = _mm_castsi128_pd(_mm_cvtepi32_epi64(top32));
-  result = _mm_blendv_pd(result, _mm_set1_pd(values[color::kLabFTableSamples - 1]),
-                         top_mask);
-  const int out_of_range = _mm_movemask_pd(in_range) ^ 0x3;
-  if (out_of_range != 0) {
-    alignas(16) double tv[2];
-    alignas(16) double rv[2];
-    _mm_store_pd(tv, t);
-    _mm_store_pd(rv, result);
-    for (int lane = 0; lane < 2; ++lane) {
-      if ((out_of_range & (1 << lane)) != 0) rv[lane] = color::lab_f_fast(tv[lane]);
-    }
-    result = _mm_load_pd(rv);
+/// lab_f_fast over 2 lanes. A lane inside [0, 1) interpolates from
+/// its interval's step; a pair with a lane outside [0, 1] or at the top
+/// sample t == 1 takes the scalar function for both lanes (of all 2^24
+/// pixels only white does: X/Xn just above 1, Y/Yn exactly 1).
+inline __m128d lab_f_fast_2(__m128d t, const LabFStep* steps) {
+  const __m128d in_table = _mm_and_pd(_mm_cmpge_pd(t, _mm_setzero_pd()),
+                                      _mm_cmplt_pd(t, _mm_set1_pd(1.0)));
+  if (_mm_movemask_pd(in_table) != 0b11) [[unlikely]] {
+    alignas(16) double lanes[2];
+    _mm_store_pd(lanes, t);
+    return _mm_set_pd(color::lab_f_fast(lanes[1]), color::lab_f_fast(lanes[0]));
   }
-  return result;
+  const __m128d scaled =
+      _mm_mul_pd(t, _mm_set1_pd(static_cast<double>(color::kLabFTableSamples - 1)));
+  const __m128i index = _mm_cvttpd_epi32(scaled);
+  const __m128d step0 = _mm_load_pd(&steps[_mm_cvtsi128_si32(index)].value);
+  const __m128d step1 = _mm_load_pd(&steps[_mm_extract_epi32(index, 1)].value);
+  const __m128d fraction = _mm_sub_pd(scaled, _mm_cvtepi32_pd(index));
+  return _mm_add_pd(_mm_unpacklo_pd(step0, step1),
+                    _mm_mul_pd(_mm_unpackhi_pd(step0, step1), fraction));
+}
+
+/// One pixel's white-normalized XYZ as [x, y] and [z, *], summed
+/// (red + green) + blue like the scalar chain, plus the three channel
+/// records' [z, encoded] halves for the encoded-RGB sums.
+struct PixelXyz {
+  __m128d xy, z, red_ze, green_ze, blue_ze;
+};
+
+inline PixelXyz pixel_xyz(const RowLabTables& tables, color::Rgb8 pixel) {
+  const double* red = &tables.channel[0][pixel.r].x;
+  const double* green = &tables.channel[1][pixel.g].x;
+  const double* blue = &tables.channel[2][pixel.b].x;
+  PixelXyz p;
+  p.red_ze = _mm_load_pd(red + 2);
+  p.green_ze = _mm_load_pd(green + 2);
+  p.blue_ze = _mm_load_pd(blue + 2);
+  p.xy = _mm_add_pd(_mm_add_pd(_mm_load_pd(red), _mm_load_pd(green)), _mm_load_pd(blue));
+  p.z = _mm_add_pd(_mm_add_pd(p.red_ze, p.green_ze), p.blue_ze);
+  return p;
 }
 
 void row_lab_rgb_sums_sse42(const color::Rgb8* pixels, int count, RowSums& sums) {
-  const LutSoA& lut = lut_soa();
+  const RowLabTables& tables = row_lab_tables();
   // Accumulator pairs [L, a], [b, r], [g, b8]; one pixel's pair is added
   // at a time, keeping every component's additions in pixel order.
   __m128d acc_la = _mm_set_pd(sums.a, sums.l);
@@ -120,35 +169,24 @@ void row_lab_rgb_sums_sse42(const color::Rgb8* pixels, int count, RowSums& sums)
   const __m128d c200 = _mm_set1_pd(200.0);
   int i = 0;
   for (; i + 1 < count; i += 2) {
-    const color::Rgb8 p0 = pixels[i];
-    const color::Rgb8 p1 = pixels[i + 1];
+    const PixelXyz p0 = pixel_xyz(tables, pixels[i]);
+    const PixelXyz p1 = pixel_xyz(tables, pixels[i + 1]);
 
-    const __m128d rx = _mm_add_pd(_mm_add_pd(gather2(lut.contrib[0][0], p0.r, p1.r),
-                                             gather2(lut.contrib[1][0], p0.g, p1.g)),
-                                  gather2(lut.contrib[2][0], p0.b, p1.b));
-    const __m128d ry = _mm_add_pd(_mm_add_pd(gather2(lut.contrib[0][1], p0.r, p1.r),
-                                             gather2(lut.contrib[1][1], p0.g, p1.g)),
-                                  gather2(lut.contrib[2][1], p0.b, p1.b));
-    const __m128d rz = _mm_add_pd(_mm_add_pd(gather2(lut.contrib[0][2], p0.r, p1.r),
-                                             gather2(lut.contrib[1][2], p0.g, p1.g)),
-                                  gather2(lut.contrib[2][2], p0.b, p1.b));
-
-    const __m128d fx = lab_f_fast_2(rx, lut.lab_f);
-    const __m128d fy = lab_f_fast_2(ry, lut.lab_f);
-    const __m128d fz = lab_f_fast_2(rz, lut.lab_f);
+    // Lanes are pixels from here on: [pixel 0, pixel 1].
+    const __m128d fx = lab_f_fast_2(_mm_unpacklo_pd(p0.xy, p1.xy), tables.lab_f);
+    const __m128d fy = lab_f_fast_2(_mm_unpackhi_pd(p0.xy, p1.xy), tables.lab_f);
+    const __m128d fz = lab_f_fast_2(_mm_unpacklo_pd(p0.z, p1.z), tables.lab_f);
     const __m128d labL = _mm_sub_pd(_mm_mul_pd(c116, fy), c16);
     const __m128d labA = _mm_mul_pd(c500, _mm_sub_pd(fx, fy));
     const __m128d labB = _mm_mul_pd(c200, _mm_sub_pd(fy, fz));
-    const __m128d encR = gather2(lut.encode, p0.r, p1.r);
-    const __m128d encG = gather2(lut.encode, p0.g, p1.g);
-    const __m128d encB = gather2(lut.encode, p0.b, p1.b);
 
-    acc_la = _mm_add_pd(acc_la, _mm_unpacklo_pd(labL, labA));  // pixel 0
-    acc_la = _mm_add_pd(acc_la, _mm_unpackhi_pd(labL, labA));  // pixel 1
-    acc_br = _mm_add_pd(acc_br, _mm_unpacklo_pd(labB, encR));
-    acc_br = _mm_add_pd(acc_br, _mm_unpackhi_pd(labB, encR));
-    acc_gb = _mm_add_pd(acc_gb, _mm_unpacklo_pd(encG, encB));
-    acc_gb = _mm_add_pd(acc_gb, _mm_unpackhi_pd(encG, encB));
+    // Pixel 0's [L, a], [b, r], [g, b8], then pixel 1's.
+    acc_la = _mm_add_pd(acc_la, _mm_unpacklo_pd(labL, labA));
+    acc_br = _mm_add_pd(acc_br, _mm_blend_pd(labB, p0.red_ze, 0b10));
+    acc_gb = _mm_add_pd(acc_gb, _mm_unpackhi_pd(p0.green_ze, p0.blue_ze));
+    acc_la = _mm_add_pd(acc_la, _mm_unpackhi_pd(labL, labA));
+    acc_br = _mm_add_pd(acc_br, _mm_shuffle_pd(labB, p1.red_ze, 0b11));
+    acc_gb = _mm_add_pd(acc_gb, _mm_unpackhi_pd(p1.green_ze, p1.blue_ze));
   }
   alignas(16) double la[2];
   alignas(16) double br[2];

@@ -1,11 +1,12 @@
 // Backend probe and runtime dispatch. The default backend is decided
-// once, lazily, from CPUID (widest supported wins) unless the
-// COLORBARS_SIMD_BACKEND environment variable pins one; set_backend()
-// lets tests and bench_micro --compare swap backends at quiescent
-// points. Kernel entry points read the table through a relaxed atomic —
-// a backend switch is not synchronized against concurrent kernel calls,
-// but every table is byte-identical in results, so a racing reader at
-// worst runs the previous backend for one call.
+// once, lazily, from CPUID (the vector backend wins when supported)
+// unless the COLORBARS_SIMD_BACKEND environment variable pins one;
+// set_backend() lets tests and bench_micro --compare swap backends at
+// quiescent points. Kernel entry points read the table through a
+// relaxed atomic — a backend switch is not synchronized against
+// concurrent kernel calls, but every table is byte-identical in
+// results, so a racing reader at worst runs the previous backend for
+// one call.
 
 #include <atomic>
 #include <cstdlib>
@@ -26,8 +27,6 @@ const KernelTable* table_for(Backend backend) noexcept {
 #if defined(COLORBARS_SIMD_X86)
     case Backend::kSse42:
       return &detail::kSse42Kernels;
-    case Backend::kAvx2:
-      return &detail::kAvx2Kernels;
 #endif
 #if defined(COLORBARS_SIMD_NEON)
     case Backend::kNeon:
@@ -40,15 +39,13 @@ const KernelTable* table_for(Backend backend) noexcept {
 
 Backend detect_default() noexcept {
   if (const char* env = std::getenv("COLORBARS_SIMD_BACKEND")) {
-    for (const Backend backend : {Backend::kScalar, Backend::kSse42, Backend::kAvx2,
-                                  Backend::kNeon}) {
+    for (const Backend backend : {Backend::kScalar, Backend::kSse42, Backend::kNeon}) {
       if (std::strcmp(env, backend_name(backend)) == 0 && backend_supported(backend)) {
         return backend;
       }
     }
   }
   if (backend_supported(Backend::kNeon)) return Backend::kNeon;
-  if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
   if (backend_supported(Backend::kSse42)) return Backend::kSse42;
   return Backend::kScalar;
 }
@@ -78,7 +75,6 @@ const char* backend_name(Backend backend) noexcept {
   switch (backend) {
     case Backend::kScalar: return "scalar";
     case Backend::kSse42: return "sse42";
-    case Backend::kAvx2: return "avx2";
     case Backend::kNeon: return "neon";
   }
   return "unknown";
@@ -89,7 +85,6 @@ bool backend_compiled(Backend backend) noexcept {
     case Backend::kScalar:
       return true;
     case Backend::kSse42:
-    case Backend::kAvx2:
 #if defined(COLORBARS_SIMD_X86)
       return true;
 #else
@@ -113,8 +108,6 @@ bool backend_supported(Backend backend) noexcept {
 #if defined(COLORBARS_SIMD_X86)
     case Backend::kSse42:
       return __builtin_cpu_supports("sse4.2") != 0;
-    case Backend::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
 #endif
 #if defined(COLORBARS_SIMD_NEON)
     case Backend::kNeon:

@@ -118,8 +118,7 @@ TEST(Channel, GoldenHashesHoldOnEverySimdBackend) {
   const led::EmissionTrace trace = golden_trace();
   const simd::Backend saved = simd::active_backend();
   for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2,
-        simd::Backend::kNeon}) {
+       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kNeon}) {
     if (!simd::backend_supported(backend)) continue;
     ASSERT_TRUE(simd::set_backend(backend));
     for (const Golden& golden : goldens) {
@@ -175,8 +174,7 @@ TEST(Channel, ChannelAndExposureBranchesReproduceFrozenCaptures) {
   const led::EmissionTrace trace = golden_trace();
   const simd::Backend saved = simd::active_backend();
   for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2,
-        simd::Backend::kNeon}) {
+       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kNeon}) {
     if (!simd::backend_supported(backend)) continue;
     ASSERT_TRUE(simd::set_backend(backend));
     for (int s = 0; s < 5; ++s) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -16,6 +17,7 @@
 
 #include "colorbars/camera/camera.hpp"
 #include "colorbars/camera/profile.hpp"
+#include "colorbars/color/lut.hpp"
 #include "colorbars/color/srgb.hpp"
 #include "colorbars/led/tri_led.hpp"
 #include "colorbars/pipeline/buffer_pool.hpp"
@@ -46,7 +48,7 @@ class BackendGuard {
 std::vector<simd::Backend> vector_backends() {
   std::vector<simd::Backend> backends;
   for (const simd::Backend backend :
-       {simd::Backend::kSse42, simd::Backend::kAvx2, simd::Backend::kNeon}) {
+       {simd::Backend::kSse42, simd::Backend::kNeon}) {
     if (simd::backend_supported(backend)) backends.push_back(backend);
   }
   return backends;
@@ -78,7 +80,7 @@ TEST(Simd, BackendProbeAndDispatchControls) {
 
   // An uncompiled backend is refused and leaves dispatch untouched.
   for (const simd::Backend backend :
-       {simd::Backend::kSse42, simd::Backend::kAvx2, simd::Backend::kNeon}) {
+       {simd::Backend::kSse42, simd::Backend::kNeon}) {
     if (simd::backend_compiled(backend)) continue;
     const simd::Backend before = simd::active_backend();
     EXPECT_FALSE(simd::set_backend(backend));
@@ -134,6 +136,21 @@ TEST(Simd, RowSumsEveryMisalignmentOffsetAndOddWidth) {
     pixel = {static_cast<std::uint8_t>(rng.below(256)),
              static_cast<std::uint8_t>(rng.below(256)),
              static_cast<std::uint8_t>(rng.below(256))};
+  }
+  // White is the one pixel whose f() inputs leave the interpolated
+  // table: its X/Xn lies just above 1 (exact fallback) and its Y/Yn is
+  // exactly 1 (top sample). Plant it with black and the saturated
+  // primaries at an odd and an even index, so the offsets below put
+  // both fallback lanes in lane 0, in lane 1 and in the scalar tail.
+  const auto& contributions = color::rgb8_lab_contributions();
+  const util::Vec3 white_xyz =
+      contributions[0][255] + contributions[1][255] + contributions[2][255];
+  ASSERT_GT(white_xyz.x, 1.0);
+  ASSERT_EQ(white_xyz.y, 1.0);
+  const color::Rgb8 planted[] = {
+      {255, 255, 255}, {0, 0, 0}, {255, 0, 0}, {0, 255, 0}, {0, 0, 255}};
+  for (const std::size_t start : {std::size_t{1}, std::size_t{32}}) {
+    std::copy(std::begin(planted), std::end(planted), pixels.begin() + start);
   }
 
   const int widths[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 97};
