@@ -182,6 +182,27 @@ void BM_RowLabRgbSums(benchmark::State& state) {
 }
 BENCHMARK(BM_RowLabRgbSums);
 
+void BM_QuantizeSrgbSpan(benchmark::State& state) {
+  // The camera's sRGB write-out over one captured_frame()-sized linear
+  // buffer: the frame's own pixels decoded back to linear light, so the
+  // codes land where a real render's do.
+  const camera::Frame frame = captured_frame();
+  std::vector<double> linear;
+  linear.reserve(frame.pixels.size() * 3);
+  for (const color::Rgb8& pixel : frame.pixels) {
+    const util::Vec3 value = color::linear_of_rgb8(pixel);
+    linear.insert(linear.end(), {value.x, value.y, value.z});
+  }
+  std::vector<std::uint8_t> codes(linear.size());
+  for (auto _ : state) {
+    simd::quantize_srgb_span(linear.data(), linear.size(), codes.data());
+    benchmark::DoNotOptimize(codes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long long>(linear.size()));
+}
+BENCHMARK(BM_QuantizeSrgbSpan);
+
 void BM_FrameExtractSlots(benchmark::State& state) {
   const camera::Frame frame = captured_frame();
   for (auto _ : state) {
@@ -320,6 +341,8 @@ void register_compare_benchmarks() {
     });
 
     register_compare("BM_RowLabRgbSums", backend, BM_RowLabRgbSums);
+
+    register_compare("BM_QuantizeSrgbSpan", backend, BM_QuantizeSrgbSpan);
 
     register_compare("BM_VignetteSignalSpan", backend, [](benchmark::State& state) {
       util::Xoshiro256 rng(14);

@@ -59,10 +59,28 @@ rgb8_lab_contributions() noexcept;
 /// the tolerance documented above.
 [[nodiscard]] Lab rgb8_to_lab_fast(const Rgb8& pixel) noexcept;
 
+/// Number of equal-width buckets over [0, 1] behind the quantizer's
+/// floor table (srgb_bucket_floor has one more entry, for x == 1).
+inline constexpr int kSrgbQuantBuckets = 4096;
+
+/// The quantizer's code-decision boundaries: entry c is the smallest
+/// double whose encoded code is >= c + 1, and entry 255 is a sentinel
+/// above 1.0, so boundaries[code] is a valid compare for every code.
+/// Exposed so the SIMD backends read the exact values the scalar
+/// quantizer compares against.
+[[nodiscard]] const std::array<double, 256>& srgb_code_boundaries() noexcept;
+
+/// The quantizer's bucket accelerator: entry k is the code of
+/// k / kSrgbQuantBuckets, i.e. the number of boundaries <= it.
+[[nodiscard]] const std::array<std::uint8_t, kSrgbQuantBuckets + 1>&
+srgb_bucket_floor() noexcept;
+
 /// Fused sRGB encode + 8-bit quantization of one linear channel.
-/// Returns *exactly* to_rgb8(srgb_encode(...)) for every input — the 255
-/// code-decision boundaries are located once by bisecting the exact
-/// encode chain, so the hot path needs no std::pow at all.
+/// Returns *exactly* to_rgb8(srgb_encode(...)) for every finite input —
+/// the 255 code-decision boundaries are located once by bisecting the
+/// exact encode chain, so the hot path is one bucket load and one
+/// compare, with no std::pow and no branch. Non-finite inputs are
+/// defined too: NaN and -inf give 0, +inf gives 255.
 [[nodiscard]] std::uint8_t quantize_srgb_channel(double linear) noexcept;
 
 /// Fused encode + quantization of a linear RGB pixel; bit-identical to

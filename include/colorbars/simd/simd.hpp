@@ -1,10 +1,11 @@
 #pragma once
 
-// Runtime-dispatched SIMD kernels for the four hottest per-pixel loops
-// of the capture/decode path: RGGB interior demosaic, the Rgb8→Lab LUT
-// reduction inside reduce_to_scanlines, the separable vignette/gain row
-// fill of the frame renders, and the per-band ΔE nearest-reference scan
-// of the symbol decision.
+// Runtime-dispatched SIMD kernels for the hottest per-pixel loops of
+// the capture/decode path: RGGB interior demosaic, the sRGB 8-bit
+// write-out of every rendered frame, the Rgb8→Lab LUT reduction inside
+// reduce_to_scanlines, the separable vignette/gain row fill of the
+// frame renders, and the per-band ΔE nearest-reference scan of the
+// symbol decision.
 //
 // The contract is byte-identity: every backend performs, per output
 // element, exactly the scalar reference's IEEE-754 operation sequence
@@ -32,6 +33,9 @@
 // backend's own tables) and every kernel falls back to a scalar tail
 // for ranges the vector width does not cover, so odd ROI widths and
 // unaligned column starts are safe.
+
+#include <cstddef>
+#include <cstdint>
 
 #include "colorbars/color/srgb.hpp"
 
@@ -71,6 +75,11 @@ struct RowSums {
 /// doubles per pixel) from the raw mosaic plane. Border pixels are the
 /// caller's job (camera::demosaic_into's bounds-checked path).
 void demosaic_interior(const double* raw, int rows, int columns, double* rgb_out);
+
+/// codes[i] = color::quantize_srgb_channel(linear[i]) for i in
+/// [0, count): the camera's fused sRGB encode + 8-bit quantization,
+/// run once over a frame's contiguous linear RGB doubles.
+void quantize_srgb_span(const double* linear, std::size_t count, std::uint8_t* codes);
 
 /// Adds `count` pixels' Lab (fast-chain) and encoded-RGB values into
 /// `sums`, in pixel order — the inner loop of reduce_to_scanlines.

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "colorbars/camera/bayer.hpp"
-#include "colorbars/color/lut.hpp"
 #include "colorbars/runtime/seed.hpp"
 #include "colorbars/runtime/thread_pool.hpp"
 #include "colorbars/simd/simd.hpp"
@@ -79,6 +79,13 @@ double RollingShutterCamera::vignette_gain(int row, int column) const noexcept {
 
 namespace {
 
+// The quantize write-out reads a FloatImage as packed doubles and
+// writes a Frame as packed bytes.
+static_assert(sizeof(Vec3) == 3 * sizeof(double) && std::is_standard_layout_v<Vec3>,
+              "util::Vec3 must be three packed doubles");
+static_assert(sizeof(color::Rgb8) == 3 && std::is_standard_layout_v<color::Rgb8>,
+              "color::Rgb8 must be three packed bytes");
+
 /// Bayer-plane responses of one row: with RGGB phasing a row only ever
 /// exposes two of the three channels, alternating by column parity —
 /// even rows see (R, G), odd rows see (G, B).
@@ -143,12 +150,10 @@ void mosaic_and_encode(const RollingShutterCamera& camera, const ExposureSetting
   out.exposure_s = settings.exposure_s;
   out.iso = settings.iso;
   out.frame_index = frame_index;
-  for (int r = 0; r < profile.rows; ++r) {
-    for (int c = 0; c < profile.columns; ++c) {
-      // Bit-identical to to_rgb8(srgb_encode(...)) but pow-free.
-      out.at(r, c) = color::quantize_srgb(rgb.at(r, c));
-    }
-  }
+  // One span over the image's 3·rows·columns doubles, written straight
+  // into the frame's bytes; bit-identical to to_rgb8(srgb_encode(...))
+  // per channel but pow-free.
+  simd::quantize_srgb_span(&rgb.at(0, 0).x, 3 * out.pixels.size(), &out.at(0, 0).r);
 }
 
 }  // namespace

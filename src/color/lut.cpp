@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "colorbars/color/cie.hpp"
 
@@ -69,12 +70,14 @@ std::uint8_t reference_srgb_code(double linear) noexcept {
 
 // Code-decision boundaries plus a bucket accelerator. boundaries[c] is
 // the smallest double whose reference code is >= c+1, found by bisection
-// (the encode chain is monotone). The 4096-bucket floor table then
-// leaves at most a couple of boundary comparisons per lookup, because
-// the encode slope never exceeds 12.92 (=> < 1 code per bucket).
+// (the encode chain is monotone); boundaries[255] is a sentinel no
+// clamped input reaches. bucket_floor[k] is the code of k/kBuckets. The
+// encode slope never exceeds 12.92, so consecutive boundaries lie more
+// than 1/(255 * 12.92) > 1/kBuckets apart and every bucket holds at
+// most one of them: the floor plus one compare is the exact code.
 struct QuantTables {
-  static constexpr int kBuckets = 4096;
-  std::array<double, 255> boundaries{};
+  static constexpr int kBuckets = kSrgbQuantBuckets;
+  std::array<double, 256> boundaries{};
   std::array<std::uint8_t, kBuckets + 1> bucket_floor{};
   QuantTables() {
     for (int code = 0; code < 255; ++code) {
@@ -91,11 +94,16 @@ struct QuantTables {
       }
       boundaries[static_cast<std::size_t>(code)] = hi;
     }
+    boundaries[255] = 2.0;
     for (int k = 0; k <= kBuckets; ++k) {
       const double x = static_cast<double>(k) / kBuckets;
       const auto below = std::upper_bound(boundaries.begin(), boundaries.end(), x);
       bucket_floor[static_cast<std::size_t>(k)] =
           static_cast<std::uint8_t>(below - boundaries.begin());
+      if (k > 0 && bucket_floor[static_cast<std::size_t>(k)] >
+                       bucket_floor[static_cast<std::size_t>(k - 1)] + 1) {
+        throw std::logic_error("quantize_srgb: a bucket holds two code boundaries");
+      }
     }
   }
 };
@@ -113,6 +121,14 @@ const std::array<double, kLabFTableSamples>& lab_f_table_values() noexcept {
 
 const std::array<std::array<Vec3, 256>, 3>& rgb8_lab_contributions() noexcept {
   return channel_tables().contributions;
+}
+
+const std::array<double, 256>& srgb_code_boundaries() noexcept {
+  return quant_tables().boundaries;
+}
+
+const std::array<std::uint8_t, kSrgbQuantBuckets + 1>& srgb_bucket_floor() noexcept {
+  return quant_tables().bucket_floor;
 }
 
 const std::array<double, 256>& srgb_decode_table() noexcept {
@@ -156,11 +172,13 @@ Lab rgb8_to_lab_fast(const Rgb8& pixel) noexcept {
 
 std::uint8_t quantize_srgb_channel(double linear) noexcept {
   const QuantTables& tables = quant_tables();
-  const double x = std::clamp(linear, 0.0, 1.0);
+  // maxsd/minsd order: a NaN fails `> 0` and lands on 0, so every input
+  // reaches the bucket cast finite and inside [0, 1].
+  const double floored = linear > 0.0 ? linear : 0.0;
+  const double x = floored < 1.0 ? floored : 1.0;
   const auto bucket = static_cast<std::size_t>(x * QuantTables::kBuckets);
-  std::uint8_t code = tables.bucket_floor[bucket];
-  while (code < 255 && tables.boundaries[code] <= x) ++code;
-  return code;
+  const std::uint8_t code = tables.bucket_floor[bucket];
+  return static_cast<std::uint8_t>(code + (tables.boundaries[code] <= x));
 }
 
 Rgb8 quantize_srgb(const Vec3& linear) noexcept {

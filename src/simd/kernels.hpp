@@ -20,6 +20,7 @@ namespace colorbars::simd::detail {
 
 struct KernelTable {
   void (*demosaic_interior)(const double* raw, int rows, int columns, double* rgb_out);
+  void (*quantize_srgb_span)(const double* linear, std::size_t count, std::uint8_t* codes);
   void (*row_lab_rgb_sums)(const color::Rgb8* pixels, int count, RowSums& sums);
   void (*vignette_signal_span)(const double* col2, int column_begin, int column_end,
                                double row2, double strength, double value_even,
@@ -96,6 +97,13 @@ namespace {
       out[2] = blue / 2;
     }
   }
+}
+
+/// Scalar reference of the sRGB write-out: the fused one-compare
+/// quantizer per channel value.
+[[maybe_unused]] void quantize_srgb_segment(const double* linear, std::size_t count,
+                                            std::uint8_t* codes) {
+  for (std::size_t i = 0; i < count; ++i) codes[i] = color::quantize_srgb_channel(linear[i]);
 }
 
 /// Scalar reference of the scanline reduction inner loop — verbatim the

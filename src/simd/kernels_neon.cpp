@@ -1,12 +1,12 @@
 // NEON (AArch64) backend: 2 double lanes for the pointwise kernels
-// (vignette, shot sigma, ΔE). The demosaic and Lab reduction kernels
-// stay on the scalar reference here, so this backend's table routes
-// them to the scalar segments. Compiled only when the build targets
-// AArch64 (COLORBARS_SIMD_NEON); byte-identity follows the same
-// no-FMA, same-operation-order argument as the SSE4.2 backend
-// (vmul/vadd are the separately-rounded instructions, vfma is never
-// emitted from these intrinsics). Compile-only: CI cross-compiles it,
-// but no test or bench has ever executed it on AArch64 hardware.
+// (sRGB quantize, vignette, shot sigma, ΔE). The demosaic and Lab
+// reduction kernels stay on the scalar reference here, so this
+// backend's table routes them to the scalar segments. Compiled only
+// when the build targets AArch64 (COLORBARS_SIMD_NEON); byte-identity
+// follows the same no-FMA, same-operation-order argument as the SSE4.2
+// backend (vmul/vadd are the separately-rounded instructions, vfma is
+// never emitted from these intrinsics). Compile-only: CI cross-compiles
+// it, but no test or bench has ever executed it on AArch64 hardware.
 
 #if defined(COLORBARS_SIMD_NEON)
 
@@ -22,6 +22,31 @@ void demosaic_interior_neon(const double* raw, int rows, int columns, double* rg
   for (int r = 1; r + 1 < rows; ++r) {
     demosaic_row_segment(raw, columns, r, 1, columns - 1, rgb_out);
   }
+}
+
+void quantize_srgb_span_neon(const double* linear, std::size_t count,
+                             std::uint8_t* codes) {
+  // The clamp is two compare-selects in the scalar `x > 0 ? x : 0`,
+  // `x < 1 ? x : 1` order, so NaN lands on 0 whatever its payload.
+  const double* boundaries = color::srgb_code_boundaries().data();
+  const std::uint8_t* bucket_floor = color::srgb_bucket_floor().data();
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  const float64x2_t one = vdupq_n_f64(1.0);
+  const float64x2_t buckets = vdupq_n_f64(static_cast<double>(color::kSrgbQuantBuckets));
+  std::size_t i = 0;
+  for (; i + 1 < count; i += 2) {
+    const float64x2_t v = vld1q_f64(linear + i);
+    const float64x2_t floored = vbslq_f64(vcgtq_f64(v, zero), v, zero);
+    const float64x2_t x = vbslq_f64(vcltq_f64(floored, one), floored, one);
+    const uint64x2_t bucket = vcvtq_u64_f64(vmulq_f64(x, buckets));
+    const int code0 = bucket_floor[vgetq_lane_u64(bucket, 0)];
+    const int code1 = bucket_floor[vgetq_lane_u64(bucket, 1)];
+    const float64x2_t boundary = {boundaries[code0], boundaries[code1]};
+    const uint64x2_t above = vcleq_f64(boundary, x);
+    codes[i] = static_cast<std::uint8_t>(code0 + (vgetq_lane_u64(above, 0) & 1));
+    codes[i + 1] = static_cast<std::uint8_t>(code1 + (vgetq_lane_u64(above, 1) & 1));
+  }
+  quantize_srgb_segment(linear + i, count - i, codes + i);
 }
 
 void row_lab_rgb_sums_neon(const color::Rgb8* pixels, int count, RowSums& sums) {
@@ -83,8 +108,8 @@ void delta_e_ab_neon(const double* ref_a, const double* ref_b, int count, double
 }  // namespace
 
 const KernelTable kNeonKernels = {
-    demosaic_interior_neon, row_lab_rgb_sums_neon, vignette_signal_neon,
-    shot_sigma_neon,        delta_e_ab_neon,
+    demosaic_interior_neon, quantize_srgb_span_neon, row_lab_rgb_sums_neon,
+    vignette_signal_neon,   shot_sigma_neon,         delta_e_ab_neon,
 };
 
 }  // namespace colorbars::simd::detail

@@ -15,6 +15,11 @@ void demosaic_interior_scalar(const double* raw, int rows, int columns,
   }
 }
 
+void quantize_srgb_span_scalar(const double* linear, std::size_t count,
+                               std::uint8_t* codes) {
+  quantize_srgb_segment(linear, count, codes);
+}
+
 void row_lab_rgb_sums_scalar(const color::Rgb8* pixels, int count, RowSums& sums) {
   row_lab_rgb_sums_segment(pixels, count, sums);
 }
@@ -39,8 +44,8 @@ void delta_e_ab_scalar(const double* ref_a, const double* ref_b, int count, doub
 }  // namespace
 
 const KernelTable kScalarKernels = {
-    demosaic_interior_scalar, row_lab_rgb_sums_scalar, vignette_signal_scalar,
-    shot_sigma_scalar,        delta_e_ab_scalar,
+    demosaic_interior_scalar, quantize_srgb_span_scalar, row_lab_rgb_sums_scalar,
+    vignette_signal_scalar,   shot_sigma_scalar,         delta_e_ab_scalar,
 };
 
 }  // namespace colorbars::simd::detail

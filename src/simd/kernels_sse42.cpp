@@ -114,6 +114,32 @@ void demosaic_interior_sse42(const double* raw, int rows, int columns,
   }
 }
 
+void quantize_srgb_span_sse42(const double* linear, std::size_t count,
+                              std::uint8_t* codes) {
+  // color::quantize_srgb_channel on two values per step: clamp, bucket
+  // floor, then one compare against the floor code's boundary adds 0/1.
+  // max(x, 0) returns its second operand for a NaN x, so NaN lands on 0
+  // exactly as the scalar `x > 0 ? x : 0` does; x * 4096 is exact, so
+  // the truncation picks the scalar's bucket.
+  const double* boundaries = color::srgb_code_boundaries().data();
+  const std::uint8_t* bucket_floor = color::srgb_bucket_floor().data();
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d one = _mm_set1_pd(1.0);
+  const __m128d buckets = _mm_set1_pd(static_cast<double>(color::kSrgbQuantBuckets));
+  std::size_t i = 0;
+  for (; i + 1 < count; i += 2) {
+    const __m128d x = _mm_min_pd(_mm_max_pd(_mm_loadu_pd(linear + i), zero), one);
+    const __m128i bucket = _mm_cvttpd_epi32(_mm_mul_pd(x, buckets));
+    const int code0 = bucket_floor[_mm_cvtsi128_si32(bucket)];
+    const int code1 = bucket_floor[_mm_extract_epi32(bucket, 1)];
+    const int above =
+        _mm_movemask_pd(_mm_cmple_pd(_mm_set_pd(boundaries[code1], boundaries[code0]), x));
+    codes[i] = static_cast<std::uint8_t>(code0 + (above & 1));
+    codes[i + 1] = static_cast<std::uint8_t>(code1 + (above >> 1));
+  }
+  quantize_srgb_segment(linear + i, count - i, codes + i);
+}
+
 /// lab_f_fast over 2 lanes. A lane inside [0, 1) interpolates from
 /// its interval's step; a pair with a lane outside [0, 1] or at the top
 /// sample t == 1 takes the scalar function for both lanes (of all 2^24
@@ -257,8 +283,8 @@ void delta_e_ab_sse42(const double* ref_a, const double* ref_b, int count, doubl
 }  // namespace
 
 const KernelTable kSse42Kernels = {
-    demosaic_interior_sse42, row_lab_rgb_sums_sse42, vignette_signal_sse42,
-    shot_sigma_sse42,        delta_e_ab_sse42,
+    demosaic_interior_sse42, quantize_srgb_span_sse42, row_lab_rgb_sums_sse42,
+    vignette_signal_sse42,   shot_sigma_sse42,         delta_e_ab_sse42,
 };
 
 }  // namespace colorbars::simd::detail

@@ -134,6 +134,10 @@ void demosaic_interior(const double* raw, int rows, int columns, double* rgb_out
   active_table().demosaic_interior(raw, rows, columns, rgb_out);
 }
 
+void quantize_srgb_span(const double* linear, std::size_t count, std::uint8_t* codes) {
+  active_table().quantize_srgb_span(linear, count, codes);
+}
+
 void row_lab_rgb_sums(const color::Rgb8* pixels, int count, RowSums& sums) {
   active_table().row_lab_rgb_sums(pixels, count, sums);
 }

@@ -105,6 +105,30 @@ TEST(QuantizeSrgb, MatchesEncodeChainExactly) {
   EXPECT_EQ(fused.b, chained.b);
 }
 
+TEST(QuantizeSrgb, EveryBucketHoldsAtMostOneBoundary) {
+  // The one-compare lookup is exact only while each 1/4096 bucket holds
+  // at most one code-decision boundary (encode slope <= 12.92 keeps
+  // boundaries > 1/3294 apart). Pin the invariant on the live tables.
+  const auto& boundaries = srgb_code_boundaries();
+  const auto& bucket_floor = srgb_bucket_floor();
+  ASSERT_TRUE(std::is_sorted(boundaries.begin(), boundaries.end()));
+  EXPECT_GT(boundaries[0], 0.0);
+  EXPECT_LE(boundaries[254], 1.0);
+  EXPECT_GT(boundaries[255], 1.0);  // sentinel: code 255 never steps up
+  for (int k = 0; k < kSrgbQuantBuckets; ++k) {
+    const double lo = static_cast<double>(k) / kSrgbQuantBuckets;
+    const double hi = static_cast<double>(k + 1) / kSrgbQuantBuckets;
+    const auto inside = std::count_if(boundaries.begin(), boundaries.end(),
+                                      [&](double b) { return b > lo && b < hi; });
+    ASSERT_LE(inside, 1) << "bucket " << k;
+    // The floor is the code of the bucket's left edge.
+    const auto at_or_below = std::count_if(boundaries.begin(), boundaries.end(),
+                                           [&](double b) { return b <= lo; });
+    ASSERT_EQ(bucket_floor[static_cast<std::size_t>(k)], at_or_below) << "bucket " << k;
+  }
+  EXPECT_EQ(bucket_floor[kSrgbQuantBuckets], 255);
+}
+
 TEST(Rgb8ToLabFast, PrimariesLandOnKnownLabRegions) {
   const Lab red = rgb8_to_lab_fast({255, 0, 0});
   EXPECT_GT(red.a, 50.0);  // strongly red

@@ -3,7 +3,8 @@
 // input it can see — including misaligned ROI starts, odd widths and
 // vector-width remainders — so that runtime dispatch can never change a
 // capture, a golden hash, or a decode. These tests prove it per kernel
-// (exhaustively for the Rgb8→Lab chain, with every misalignment offset
+// (exhaustively for the Rgb8→Lab chain, every quantizer boundary and
+// bucket edge for the sRGB write-out, with every misalignment offset
 // 0–31 for the row kernels, randomized frames for the rest), plus the
 // capture-arena and buffer-pool-cap plumbing that rides on the layer.
 
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -117,6 +119,70 @@ TEST(Simd, Rgb8LabChainMatchesScalarExhaustively) {
         simd::row_lab_rgb_sums(row.data(), 256, sums);
         ASSERT_TRUE(bit_equal(sums, reference))
             << simd::backend_name(backend) << " diverged at r=" << r << " g=" << g;
+      }
+    }
+  }
+}
+
+TEST(Simd, QuantizeSrgbSpanMatchesScalarOnEveryBackend) {
+  // Every code-decision boundary and every 1/4096 bucket edge, each
+  // ±3 ulps, after the clamp's edges and the non-finite values. Every
+  // backend (scalar included) must reproduce quantize_srgb_channel byte
+  // for byte from start offsets 0–15 and odd counts, so the specials
+  // pass through both SSE lanes and the scalar tail.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> inputs = {kNan, -kNan, kInf, -kInf,  0.0,    -0.0,     1.0,
+                                -0.5, -1.0,  1.5,  1e300, -1e300, 4.9e-324, -4.9e-324};
+  const std::size_t specials = inputs.size();
+  const auto add_with_ulps = [&](double center) {
+    inputs.push_back(center);
+    double below = center;
+    double above = center;
+    for (int ulp = 0; ulp < 3; ++ulp) {
+      below = std::nextafter(below, -kInf);
+      above = std::nextafter(above, kInf);
+      inputs.push_back(below);
+      inputs.push_back(above);
+    }
+  };
+  for (const double boundary : color::srgb_code_boundaries()) add_with_ulps(boundary);
+  for (int k = 0; k <= color::kSrgbQuantBuckets; ++k) {
+    add_with_ulps(static_cast<double>(k) / color::kSrgbQuantBuckets);
+  }
+
+  std::vector<std::uint8_t> reference(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    reference[i] = color::quantize_srgb_channel(inputs[i]);
+    if (i >= specials) {  // finite: the exact encode chain's code
+      const double v = inputs[i];
+      ASSERT_EQ(reference[i], color::to_rgb8(color::srgb_encode(util::Vec3{v, v, v})).r)
+          << "v=" << v;
+    }
+  }
+  // Non-finite inputs are defined, not UB: NaN and -inf -> 0, +inf -> 255.
+  EXPECT_EQ(reference[0], 0);
+  EXPECT_EQ(reference[1], 0);
+  EXPECT_EQ(reference[2], 255);
+  EXPECT_EQ(reference[3], 0);
+
+  std::vector<simd::Backend> backends = vector_backends();
+  backends.insert(backends.begin(), simd::Backend::kScalar);
+  BackendGuard guard;
+  for (const simd::Backend backend : backends) {
+    ASSERT_TRUE(simd::set_backend(backend));
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const std::size_t rest = inputs.size() - offset;
+      for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                      std::size_t{3}, std::size_t{5}, std::size_t{7},
+                                      std::size_t{15}, std::size_t{33}, rest - 1, rest}) {
+        // One guard byte past the span catches an overrunning store.
+        std::vector<std::uint8_t> codes(count + 1, 0xA5);
+        simd::quantize_srgb_span(inputs.data() + offset, count, codes.data());
+        ASSERT_EQ(std::memcmp(codes.data(), reference.data() + offset, count), 0)
+            << simd::backend_name(backend) << " offset=" << offset << " count=" << count;
+        ASSERT_EQ(codes[count], 0xA5)
+            << simd::backend_name(backend) << " offset=" << offset << " count=" << count;
       }
     }
   }
