@@ -10,6 +10,7 @@
 // cycles until fully received); --ser N instead measures the raw symbol
 // error rate over N symbols.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -134,6 +135,9 @@ int run_ser_mode(const Options& options, core::LinkConfig config) {
   return 0;
 }
 
+/// Chunks a carousel can number with its one-byte sequence field.
+constexpr std::size_t kMaxChunks = 256;
+
 int run_transfer_mode(const Options& options, core::LinkConfig config) {
   core::LinkSimulator sim(config);
   const int k = config.transmitter_config().rs_k;
@@ -147,6 +151,18 @@ int run_transfer_mode(const Options& options, core::LinkConfig config) {
   if (chunk_capacity <= 0) {
     std::fprintf(stderr, "RS message too small at this operating point\n");
     return 1;
+  }
+  // The sequence number is one byte: a longer carousel would wrap and
+  // could never complete, so refuse it before simulating anything.
+  const std::size_t needed_chunks =
+      (options.message.size() + static_cast<std::size_t>(chunk_capacity) - 1) /
+      static_cast<std::size_t>(chunk_capacity);
+  if (needed_chunks > kMaxChunks) {
+    std::fprintf(stderr,
+                 "message needs %zu chunks of %d bytes; the one-byte chunk sequence "
+                 "number allows at most %zu\n",
+                 needed_chunks, chunk_capacity, kMaxChunks);
+    return 2;
   }
   std::vector<std::uint8_t> cycle;
   int total_chunks = 0;
@@ -186,7 +202,9 @@ int run_transfer_mode(const Options& options, core::LinkConfig config) {
       received += "?";
       continue;
     }
-    const int length = it->second[1];
+    // The length byte came over the air: never read past the payload.
+    const int length =
+        std::min(static_cast<int>(it->second[1]), static_cast<int>(it->second.size()) - 2);
     for (int i = 0; i < length; ++i) {
       received += static_cast<char>(it->second[static_cast<std::size_t>(i) + 2]);
     }

@@ -83,8 +83,4 @@ srgb_bucket_floor() noexcept;
 /// defined too: NaN and -inf give 0, +inf gives 255.
 [[nodiscard]] std::uint8_t quantize_srgb_channel(double linear) noexcept;
 
-/// Fused encode + quantization of a linear RGB pixel; bit-identical to
-/// to_rgb8(srgb_encode(linear)).
-[[nodiscard]] Rgb8 quantize_srgb(const Vec3& linear) noexcept;
-
 }  // namespace colorbars::color

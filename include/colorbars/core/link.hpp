@@ -179,6 +179,14 @@ struct GoodputBatchResult {
                                                   double frame_rate_hz, double loss_ratio,
                                                   double illumination_ratio);
 
+/// Symbol slots in a run of `duration_s` seconds at `symbol_rate_hz`:
+/// ceil(duration_s · symbol_rate_hz). Throws std::invalid_argument
+/// unless `duration_s` is finite and non-negative and the count fits an
+/// int (the bound run_ser's symbol count already has) — a NaN, infinite
+/// or huge product would otherwise reach the float-to-integer cast,
+/// which is undefined behaviour.
+[[nodiscard]] long long duration_slots(double duration_s, double symbol_rate_hz);
+
 /// Ground-truth credit: walks `packets` in order and credits each OK data
 /// packet whose payload equals a transmitted message at or after
 /// `next_truth`, advancing `next_truth` past the match. RS validates the
@@ -209,21 +217,26 @@ class LinkSimulator {
   /// calibration preamble and the data symbols ride one concatenated
   /// emission trace through a single streamed capture, as on a real
   /// device (the camera never stops between "calibrate" and "measure").
+  /// Throws std::invalid_argument on a negative `symbol_count`.
   [[nodiscard]] SerResult run_ser(int symbol_count);
 
   /// Measures raw throughput over `duration_s` of random data symbols
   /// with the illumination schedule applied (Fig. 10): observed data
-  /// slots per second times bits per symbol.
+  /// slots per second times bits per symbol. Throws
+  /// std::invalid_argument on a duration duration_slots rejects.
   [[nodiscard]] ThroughputResult run_throughput(double duration_s);
 
   /// Measures goodput (Fig. 11): RS-recovered payload bits per second
   /// over a stream of `duration_s` seconds of back-to-back data packets.
+  /// Throws std::invalid_argument on a duration duration_slots rejects.
   [[nodiscard]] LinkRunResult run_goodput(double duration_s);
 
   // Batch trial APIs. Each trial runs a fresh simulator whose seed is
   // derive_stream_seed(config.seed, trial_index); trials execute in
   // parallel on the shared runtime pool and aggregate deterministically
   // in trial order, so the batch is byte-identical at any thread count.
+  // Each validates its per-trial argument like the single-run call, but
+  // before any trial starts.
 
   /// `trial_count` independent SER measurements of `symbols_per_trial`
   /// symbols each.

@@ -63,11 +63,10 @@ class DecisionEngine {
       std::size_t position, double* margin_out) const = 0;
 
   [[nodiscard]] const DecisionStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = DecisionStats{}; }
 
  protected:
-  /// Records one decision's margin into the stats (call from decide()).
-  void note_decision(double margin, bool fallback) const noexcept;
+  /// Counts one decision into the stats (call from decide()).
+  void note_decision(bool fallback) const noexcept;
 
   /// decide() is const (classification must not mutate decode state) but
   /// the counters are observability, not state — mutable keeps the

@@ -122,9 +122,6 @@ class CameraFrontend final : public SlotObservationSource {
   [[nodiscard]] long long frames_dropped() const noexcept { return frames_dropped_; }
   /// Frames delivered to next_block so far.
   [[nodiscard]] long long frames_delivered() const noexcept { return frames_delivered_; }
-  [[nodiscard]] const camera::RollingShutterCamera& camera() const noexcept {
-    return camera_;
-  }
 
  private:
   double symbol_rate_hz_;
@@ -139,18 +136,11 @@ class CameraFrontend final : public SlotObservationSource {
   long long frames_delivered_ = 0;
 };
 
-/// End-of-run frontend counters.
-struct FrontendRunStats {
-  long long blocks = 0;        ///< blocks delivered (frames / sample blocks)
-  long long observations = 0;  ///< slot observations across all blocks
-};
-
 /// Drives a frontend to completion into a streaming receiver: every
 /// block is pushed (ingest + incremental drain, the FrameSink cadence),
 /// then the receiver's end-of-stream flush runs. Decodes
 /// byte-identically to wiring the equivalent FrameSink directly.
-FrontendRunStats run_frontend(SlotObservationSource& source,
-                              rx::StreamingReceiver& receiver);
+void run_frontend(SlotObservationSource& source, rx::StreamingReceiver& receiver);
 
 /// Collects every observation the frontend yields and assembles the
 /// full slot timeline — the seam-side replacement for the experiment

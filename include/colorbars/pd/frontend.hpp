@@ -53,7 +53,6 @@ class PdFrontend final : public frontend::SlotObservationSource {
   }
 
   [[nodiscard]] const PdSampler& sampler() const noexcept { return sampler_; }
-  [[nodiscard]] const SlotReducer& reducer() const noexcept { return reducer_; }
 
  private:
   double symbol_rate_hz_;

@@ -110,12 +110,6 @@ class FrameStage {
   virtual bool process(camera::Frame& frame) = 0;
 };
 
-/// A stage that passes every frame through untouched.
-class IdentityStage final : public FrameStage {
- public:
-  bool process(camera::Frame&) override { return true; }
-};
-
 /// Consumes the pipeline's frames in capture order.
 class FrameSink {
  public:

@@ -45,10 +45,6 @@ struct SlotObservation {
 
 /// Band-segmentation tuning.
 struct ExtractorConfig {
-  /// Chroma ΔE at which a scanline is considered to start a new band.
-  double split_delta_e = 6.0;
-  /// Lightness jump that also splits a band (OFF <-> lit transitions).
-  double split_delta_l = 18.0;
   /// Bands narrower than this many rows are discarded as transition
   /// artifacts (the paper's empirical 10-pixel minimum, §4).
   int min_band_rows = 5;
@@ -92,16 +88,11 @@ struct ExtractorConfig {
                                                          double symbol_rate_hz,
                                                          const ExtractorConfig& config = {});
 
-/// ROI-scoped front-end: reduce only [column_begin, column_end), then
-/// segment and slot-map as usual (band timing comes from the frame's
-/// row clock, which is column-independent).
-[[nodiscard]] std::vector<SlotObservation> extract_slots(const camera::Frame& frame,
-                                                         double symbol_rate_hz,
-                                                         int column_begin, int column_end,
-                                                         const ExtractorConfig& config = {});
-
-/// Arena-backed front-end: scanline scratch comes from `arena` instead
-/// of a per-call vector (rx::StreamingReceiver threads its per-stream
+/// ROI-scoped, arena-backed front-end: reduce only
+/// [column_begin, column_end), then segment and slot-map as usual (band
+/// timing comes from the frame's row clock, which is
+/// column-independent). Scanline scratch comes from `arena` instead of
+/// a per-call vector (rx::StreamingReceiver threads its per-stream
 /// arena through here, so a long capture's reduction scratch is one
 /// recycled allocation).
 [[nodiscard]] std::vector<SlotObservation> extract_slots(const camera::Frame& frame,

@@ -128,7 +128,8 @@ class Receiver {
   [[nodiscard]] ReceiverReport process(std::span<const camera::Frame> frames);
 
   /// Parses an already-collected timeline (exposed for tests and for
-  /// experiments that inspect the timeline).
+  /// experiments that inspect the timeline): the cold-start calibration
+  /// pre-scan over the whole timeline, then one final-flush parse_from.
   [[nodiscard]] ReceiverReport parse(const SlotTimeline& timeline);
 
   /// Resumable incremental parse (the streaming path). Scans
@@ -146,15 +147,14 @@ class Receiver {
   /// end with offline semantics (truncated packets are reported) and
   /// returns `timeline.slots.size()`.
   ///
-  /// `cold_start_prescan` controls the offline cold-start behavior of
-  /// scanning ahead for calibration packets before the sequential parse
-  /// (see prescan_calibration). Incremental callers that manage the
-  /// pre-scan themselves with a persistent cursor pass false, otherwise
-  /// repeated calls would re-absorb the same partials in a different
-  /// blend order than the offline pass.
+  /// parse_from never runs the cold-start calibration pre-scan: parse()
+  /// runs it once over the whole timeline, and incremental callers drive
+  /// prescan_calibration themselves with a persistent cursor (repeated
+  /// pre-scans would re-absorb the same partials in a different blend
+  /// order than the offline pass).
   std::size_t parse_from(const SlotTimeline& timeline, std::size_t start_position,
                          std::size_t limit_position, ReceiverReport& report,
-                         bool final_flush = false, bool cold_start_prescan = true);
+                         bool final_flush = false);
 
   /// Cold-start calibration pre-scan: scans `[from, limit)` for
   /// calibration packets and absorbs each matching partial once, in
@@ -181,24 +181,14 @@ class Receiver {
   /// reads a cell a later frame could still fill in.
   [[nodiscard]] std::size_t max_decision_span_slots() const noexcept;
 
-  /// Classifies a single observation against the current calibration,
-  /// restricted to data symbols (used for size fields and payload slots,
-  /// where the schedule says the slot cannot be white/off).
-  [[nodiscard]] int classify_data(const SlotObservation& observation) const;
-
-  /// classify_data plus the decision margin: the runner-up reference
-  /// distance minus the best one (-1 when fewer than two references are
-  /// available, in which case the margin is not meaningful).
-  [[nodiscard]] int classify_data(const SlotObservation& observation,
-                                  double* margin_out) const;
-
-  /// Contextual classification: decides the data symbol at `position`
-  /// of the timeline through the configured decision engine, which may
-  /// read the trailing slots as FIR context. `timeline.slots[position]`
-  /// must be an observed cell. This is the call the parse loops use;
-  /// the observation-only overloads above classify through a
-  /// single-cell window (equalized engines then take their documented
-  /// nearest-reference fallback).
+  /// Classifies the data symbol at `position` of the timeline (used for
+  /// size fields and payload slots, where the schedule says the slot
+  /// cannot be white/off) through the configured decision engine, which
+  /// may read the trailing slots as FIR context.
+  /// `timeline.slots[position]` must be an observed cell. When
+  /// `margin_out` is non-null it receives the decision margin: the
+  /// runner-up reference distance minus the best one (-1 when fewer than
+  /// two references were comparable).
   [[nodiscard]] int classify_data(const SlotTimeline& timeline, std::size_t position,
                                   double* margin_out = nullptr) const;
 

@@ -23,18 +23,9 @@ struct RoiTrackerConfig {
   int cell_rows = 24;
   /// Grid cell width in pixel columns.
   int cell_columns = 4;
-  /// Minimum cell mean lightness (CIELAB L) to count as lit.
-  double min_lightness = 18.0;
-  /// Minimum row-wise chroma standard deviation (sqrt of var(a)+var(b))
-  /// within a cell — the "data bands flicker here" signal. A bright but
-  /// chroma-static background patch stays below it.
-  double min_chroma_sigma = 4.0;
   /// Fraction of a grid column's cells that must be active for the
   /// column to join a blob.
   double min_active_fraction = 0.35;
-  /// Detected regions narrower than this many pixel columns are
-  /// discarded as noise.
-  int min_region_columns = 2;
   /// A track unseen for more than this many consecutive frames retires.
   int retire_after_frames = 5;
 };

@@ -13,7 +13,7 @@
 // The decode path is incremental and bounded: observations live in a
 // sliding SlotTimeline window, each poll() resumes the parse where the
 // previous one stopped (Receiver::parse_from), and slots behind the
-// resume point are evicted once a configurable tail no longer needs
+// resume point are evicted once a one-frame tail no longer needs
 // them. Work per poll() and retained memory are therefore proportional
 // to the window, not to the capture length.
 //
@@ -40,18 +40,6 @@
 #include "colorbars/util/arena.hpp"
 
 namespace colorbars::rx {
-
-/// Sliding-window tuning for StreamingReceiver. Negative values derive
-/// the slot counts from the configured symbol and frame rates.
-struct StreamingConfig {
-  /// Slots held back from the stream head before a packet may be
-  /// finalized. Default: one camera frame period plus a small guard, so
-  /// a packet straddling the inter-frame gap has had its tail arrive.
-  long long holdback_slots = -1;
-  /// Already-parsed slots retained behind the resume point (debugging
-  /// headroom for gap-straddling packets). Default: one frame period.
-  long long tail_keep_slots = -1;
-};
 
 /// Per-stream decode-side counters, cumulative over the stream (never
 /// reset).
@@ -82,7 +70,7 @@ struct StreamingStats {
 
 class StreamingReceiver : public pipeline::FrameSink {
  public:
-  explicit StreamingReceiver(ReceiverConfig config, StreamingConfig stream = {});
+  explicit StreamingReceiver(ReceiverConfig config);
 
   [[nodiscard]] const CalibrationStore& store() const noexcept {
     return receiver_.store();
@@ -151,11 +139,14 @@ class StreamingReceiver : public pipeline::FrameSink {
   /// Decode-side counters (window peak, eviction, parse cost).
   [[nodiscard]] const StreamingStats& stats() const noexcept { return stats_; }
 
-  /// Effective head holdback in slots (configured, or one frame period
-  /// derived from symbol_rate_hz / frame_rate_hz plus a guard).
+  /// Slots held back from the stream head before a packet may be
+  /// finalized: one camera frame period (symbol_rate_hz / frame_rate_hz)
+  /// plus a small guard, so a packet straddling the inter-frame gap has
+  /// had its tail arrive.
   [[nodiscard]] long long holdback_slots() const noexcept;
 
-  /// Effective eviction tail in slots.
+  /// Already-parsed slots retained behind the resume point (headroom for
+  /// gap-straddling packets): one frame period.
   [[nodiscard]] long long tail_keep_slots() const noexcept;
 
  private:
@@ -188,7 +179,6 @@ class StreamingReceiver : public pipeline::FrameSink {
   /// Per-stream scratch arena for the frame reduction (scanline colors);
   /// reset once per pushed frame, surfaced through stats().
   util::CaptureArena arena_;
-  StreamingConfig stream_config_;
   /// Sliding window of observations. base_slot tracks eviction; valid
   /// once the first observation arrives.
   SlotTimeline window_;

@@ -21,22 +21,7 @@ namespace colorbars::scene {
 struct RoiDecodeLane {
   int roi_id = -1;
   camera::SensorRegion region;  ///< latest tracked rectangle
-  int frames_fed = 0;
   std::unique_ptr<rx::StreamingReceiver> receiver;
-};
-
-/// Aggregate decode counters over every lane.
-struct SceneDecodeTotals {
-  int lanes = 0;
-  long long packets = 0;
-  long long packets_ok = 0;
-  std::size_t payload_bytes = 0;
-  // Capture-arena counters summed (peak: maxed) over every lane's
-  // streaming receiver — proof the per-lane reduction scratch recycles
-  // instead of reallocating per frame.
-  long long arena_resets = 0;
-  long long arena_reuse_hits = 0;
-  long long arena_peak_bytes = 0;
 };
 
 class SceneReceiver final : public pipeline::FrameSink {
@@ -55,11 +40,8 @@ class SceneReceiver final : public pipeline::FrameSink {
   /// All lanes ever opened, in track-ID order (lanes whose track
   /// retired keep their decoded packets).
   [[nodiscard]] const std::vector<RoiDecodeLane>& lanes() const noexcept { return lanes_; }
-  [[nodiscard]] const rx::RoiTracker& tracker() const noexcept { return tracker_; }
   [[nodiscard]] const rx::ReceiverConfig& config() const noexcept { return config_; }
   [[nodiscard]] int frames_consumed() const noexcept { return frames_consumed_; }
-
-  [[nodiscard]] SceneDecodeTotals totals() const;
 
  private:
   rx::ReceiverConfig config_;

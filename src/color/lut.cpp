@@ -181,9 +181,4 @@ std::uint8_t quantize_srgb_channel(double linear) noexcept {
   return static_cast<std::uint8_t>(code + (tables.boundaries[code] <= x));
 }
 
-Rgb8 quantize_srgb(const Vec3& linear) noexcept {
-  return {quantize_srgb_channel(linear.x), quantize_srgb_channel(linear.y),
-          quantize_srgb_channel(linear.z)};
-}
-
 }  // namespace colorbars::color

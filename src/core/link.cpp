@@ -184,7 +184,7 @@ LinkRunResult LinkSimulator::run_payload(std::span<const std::uint8_t> payload) 
   const std::unique_ptr<frontend::SlotObservationSource> source =
       make_frontend(config_, transmission.trace, start_offset, capture_seed);
   rx::StreamingReceiver receiver(config_.receiver_config());
-  (void)frontend::run_frontend(*source, receiver);
+  frontend::run_frontend(*source, receiver);
 
   LinkRunResult result;
   result.report = receiver.take_report();
@@ -197,7 +197,26 @@ LinkRunResult LinkSimulator::run_payload(std::span<const std::uint8_t> payload) 
   return result;
 }
 
+long long duration_slots(double duration_s, double symbol_rate_hz) {
+  const double slots = std::ceil(duration_s * symbol_rate_hz);
+  if (!(duration_s >= 0.0) ||
+      !(slots <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    throw std::invalid_argument(
+        "duration_s must be finite, non-negative and span at most INT_MAX slots");
+  }
+  return static_cast<long long>(slots);
+}
+
+namespace {
+
+void check_symbol_count(int symbol_count) {
+  if (symbol_count < 0) throw std::invalid_argument("run_ser: negative symbol_count");
+}
+
+}  // namespace
+
 SerResult LinkSimulator::run_ser(int symbol_count) {
+  check_symbol_count(symbol_count);
   const tx::TransmitterConfig tx_config = config_.transmitter_config();
   const tx::Transmitter transmitter(tx_config);
 
@@ -305,8 +324,7 @@ ThroughputResult LinkSimulator::run_throughput(double duration_s) {
   // for the requested duration.
   std::vector<protocol::ChannelSymbol> slots = transmitter.packetizer().build_calibration_packet();
   const std::size_t preamble = slots.size();
-  const auto total_slots =
-      static_cast<long long>(std::ceil(duration_s * config_.symbol_rate_hz));
+  const long long total_slots = duration_slots(duration_s, config_.symbol_rate_hz);
   std::vector<bool> is_data;
   is_data.reserve(static_cast<std::size_t>(total_slots));
   for (long long slot = 0; slot < total_slots; ++slot) {
@@ -351,8 +369,7 @@ LinkRunResult LinkSimulator::run_goodput(double duration_s) {
   // Estimate how many packets fit in the duration (packet slots plus the
   // calibration packets at their cadence).
   const int packet_slots = packetizer.data_packet_slots(tx_config.rs_n);
-  const auto total_slots =
-      static_cast<long long>(std::ceil(duration_s * config_.symbol_rate_hz));
+  const long long total_slots = duration_slots(duration_s, config_.symbol_rate_hz);
   const long long packet_count = std::max<long long>(1, total_slots / packet_slots);
 
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(packet_count) *
@@ -407,6 +424,7 @@ std::vector<Result> run_trials(const LinkConfig& base, int trial_count, Trial tr
 }  // namespace
 
 SerBatchResult LinkSimulator::run_ser_trials(int trial_count, int symbols_per_trial) const {
+  check_symbol_count(symbols_per_trial);
   SerBatchResult batch;
   batch.trials = run_trials<SerResult>(config_, trial_count, [&](LinkSimulator& sim) {
     return sim.run_ser(symbols_per_trial);
@@ -419,6 +437,7 @@ SerBatchResult LinkSimulator::run_ser_trials(int trial_count, int symbols_per_tr
 
 ThroughputBatchResult LinkSimulator::run_throughput_trials(int trial_count,
                                                            double duration_s) const {
+  (void)duration_slots(duration_s, config_.symbol_rate_hz);
   ThroughputBatchResult batch;
   batch.trials = run_trials<ThroughputResult>(
       config_, trial_count,
@@ -430,6 +449,7 @@ ThroughputBatchResult LinkSimulator::run_throughput_trials(int trial_count,
 
 GoodputBatchResult LinkSimulator::run_goodput_trials(int trial_count,
                                                      double duration_s) const {
+  (void)duration_slots(duration_s, config_.symbol_rate_hz);
   GoodputBatchResult batch;
   batch.trials = run_trials<LinkRunResult>(
       config_, trial_count,

@@ -15,20 +15,9 @@ using rx::SlotObservation;
 void DecisionEngine::on_calibration(rx::CalibrationStore&,
                                     std::span<const CalibrationObservation>) {}
 
-void DecisionEngine::note_decision(double margin, bool fallback) const noexcept {
+void DecisionEngine::note_decision(bool fallback) const noexcept {
   ++stats_.decisions;
   if (fallback) ++stats_.fallback_decisions;
-  if (margin >= 0.0) {
-    if (stats_.margin_count == 0) {
-      stats_.min_margin = margin;
-      stats_.max_margin = margin;
-    } else {
-      stats_.min_margin = std::min(stats_.min_margin, margin);
-      stats_.max_margin = std::max(stats_.max_margin, margin);
-    }
-    stats_.margin_sum += margin;
-    ++stats_.margin_count;
-  }
 }
 
 namespace detail {
@@ -191,11 +180,8 @@ class NearestReferenceEngine final : public DecisionEngine {
   [[nodiscard]] int decide(const rx::CalibrationStore& store,
                            std::span<const std::optional<SlotObservation>> window,
                            std::size_t position, double* margin_out) const override {
-    double margin = -1.0;
-    const int symbol = classify_nearest_store(store, *window[position], &margin);
-    if (margin_out != nullptr) *margin_out = margin;
-    note_decision(margin, /*fallback=*/false);
-    return symbol;
+    note_decision(/*fallback=*/false);
+    return classify_nearest_store(store, *window[position], margin_out);
   }
 };
 

@@ -163,11 +163,8 @@ class EqualizedEngine final : public DecisionEngine {
     if (!context_ok) {
       // Missing taps or an incomplete FIR window (capture start, slots
       // lost to the inter-frame gap): degrade to the plain scan.
-      double margin = -1.0;
-      const int symbol = classify_nearest_store(store, *window[position], &margin);
-      if (margin_out != nullptr) *margin_out = margin;
-      note_decision(margin, /*fallback=*/true);
-      return symbol;
+      note_decision(/*fallback=*/true);
+      return classify_nearest_store(store, *window[position], margin_out);
     }
     ChromaAB equalized{0.0, 0.0};
     for (std::size_t j = 0; j < taps; ++j) {
@@ -176,11 +173,8 @@ class EqualizedEngine final : public DecisionEngine {
       equalized.a += w * chroma.a;
       equalized.b += w * chroma.b;
     }
-    double margin = -1.0;
-    const int symbol = classify_against_refs(state.references, equalized, &margin);
-    if (margin_out != nullptr) *margin_out = margin;
-    note_decision(margin, /*fallback=*/false);
-    return symbol;
+    note_decision(/*fallback=*/false);
+    return classify_against_refs(state.references, equalized, margin_out);
   }
 
  private:

@@ -44,17 +44,10 @@ bool CameraFrontend::next_block(std::vector<rx::SlotObservation>& out) {
   return false;
 }
 
-FrontendRunStats run_frontend(SlotObservationSource& source,
-                              rx::StreamingReceiver& receiver) {
-  FrontendRunStats stats;
+void run_frontend(SlotObservationSource& source, rx::StreamingReceiver& receiver) {
   std::vector<rx::SlotObservation> block;
-  while (source.next_block(block)) {
-    receiver.push_observations(block);
-    ++stats.blocks;
-    stats.observations += static_cast<long long>(block.size());
-  }
+  while (source.next_block(block)) receiver.push_observations(block);
   receiver.on_stream_end();
-  return stats;
 }
 
 rx::SlotTimeline collect_timeline(SlotObservationSource& source) {

@@ -16,6 +16,11 @@ std::vector<ScanlineColor> reduce_to_scanlines(const camera::Frame& frame) {
 
 namespace {
 
+/// Chroma ΔE at which a scanline is considered to start a new band.
+constexpr double kSplitDeltaE = 6.0;
+/// Lightness jump that also splits a band (OFF <-> lit transitions).
+constexpr double kSplitDeltaL = 18.0;
+
 /// Shared reduction core: fills scanlines[r] for every frame row. The
 /// caller guarantees 0 <= begin < end <= frame.columns and
 /// scanlines.size() == frame.rows.
@@ -122,7 +127,7 @@ std::vector<Band> segment_bands(const camera::Frame& frame,
     const ScanlineColor& line = scanlines[r];
     const double chroma_jump = color::delta_e_ab(line.chroma, current.chroma);
     const double lightness_jump = std::abs(line.lightness - current.lightness);
-    if (chroma_jump > config.split_delta_e || lightness_jump > config.split_delta_l) {
+    if (chroma_jump > kSplitDeltaE || lightness_jump > kSplitDeltaL) {
       flush();
       current.start_row = static_cast<int>(r);
       current.row_count = 1;
@@ -167,14 +172,7 @@ std::vector<SlotObservation> bands_to_slots(const std::vector<Band>& bands,
 std::vector<SlotObservation> extract_slots(const camera::Frame& frame,
                                            double symbol_rate_hz,
                                            const ExtractorConfig& config) {
-  return extract_slots(frame, symbol_rate_hz, 0, frame.columns, config);
-}
-
-std::vector<SlotObservation> extract_slots(const camera::Frame& frame,
-                                           double symbol_rate_hz, int column_begin,
-                                           int column_end, const ExtractorConfig& config) {
-  const std::vector<ScanlineColor> scanlines =
-      reduce_to_scanlines(frame, column_begin, column_end);
+  const std::vector<ScanlineColor> scanlines = reduce_to_scanlines(frame);
   const std::vector<Band> bands = segment_bands(frame, scanlines, config);
   return bands_to_slots(bands, symbol_rate_hz);
 }

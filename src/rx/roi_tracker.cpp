@@ -19,6 +19,16 @@ RoiTracker::RoiTracker(RoiTrackerConfig config) : config_(config) {
 
 namespace {
 
+/// Minimum cell mean lightness (CIELAB L) to count as lit.
+constexpr double kMinLightness = 18.0;
+/// Minimum row-wise chroma standard deviation (sqrt of var(a)+var(b))
+/// within a cell — the "data bands flicker here" signal. A bright but
+/// chroma-static background patch stays below it.
+constexpr double kMinChromaSigma = 4.0;
+/// Detected regions narrower than this many pixel columns are discarded
+/// as noise.
+constexpr int kMinRegionColumns = 2;
+
 /// Row-level Lab means per grid column: the downsampled plane detection
 /// works on. Laid out row-major, rows x grid_columns.
 struct RowMeans {
@@ -99,7 +109,7 @@ std::vector<camera::SensorRegion> RoiTracker::detect(const camera::Frame& frame,
       const double chroma_sigma = std::sqrt(var_a + var_b);
       active[static_cast<std::size_t>(gr) * static_cast<std::size_t>(grid_columns) +
              static_cast<std::size_t>(g)] =
-          mean_l >= config.min_lightness && chroma_sigma >= config.min_chroma_sigma;
+          mean_l >= kMinLightness && chroma_sigma >= kMinChromaSigma;
     }
   }
 
@@ -144,7 +154,7 @@ std::vector<camera::SensorRegion> RoiTracker::detect(const camera::Frame& frame,
     region.width = std::min(run_end * config.cell_columns, frame.columns) - region.left;
     region.top = first_row * config.cell_rows;
     region.height = std::min((last_row + 1) * config.cell_rows, frame.rows) - region.top;
-    if (region.width >= config.min_region_columns && !region.empty()) {
+    if (region.width >= kMinRegionColumns && !region.empty()) {
       regions.push_back(region);
     }
     g = run_end;

@@ -6,8 +6,8 @@
 
 namespace colorbars::rx {
 
-StreamingReceiver::StreamingReceiver(ReceiverConfig config, StreamingConfig stream)
-    : receiver_(std::move(config)), stream_config_(stream) {}
+StreamingReceiver::StreamingReceiver(ReceiverConfig config)
+    : receiver_(std::move(config)) {}
 
 long long StreamingReceiver::frame_period_slots() const noexcept {
   const ReceiverConfig& config = receiver_.config();
@@ -16,12 +16,10 @@ long long StreamingReceiver::frame_period_slots() const noexcept {
 }
 
 long long StreamingReceiver::holdback_slots() const noexcept {
-  if (stream_config_.holdback_slots >= 0) return stream_config_.holdback_slots;
   return frame_period_slots() + 4;
 }
 
 long long StreamingReceiver::tail_keep_slots() const noexcept {
-  if (stream_config_.tail_keep_slots >= 0) return stream_config_.tail_keep_slots;
   return frame_period_slots();
 }
 
@@ -141,8 +139,8 @@ std::size_t StreamingReceiver::drain(bool final_flush) {
     limit = limit > margin ? limit - margin : 0;
   }
 
-  resume_position_ = receiver_.parse_from(window_, resume_position_, limit, report_,
-                                          final_flush, /*cold_start_prescan=*/false);
+  resume_position_ =
+      receiver_.parse_from(window_, resume_position_, limit, report_, final_flush);
   // Keep the aggregate fields the batch Receiver::parse fills in sync
   // with everything ingested so far (parse_from only appends packets and
   // scan counters).

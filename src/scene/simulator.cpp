@@ -1,7 +1,6 @@
 #include "colorbars/scene/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "colorbars/channel/stages.hpp"
 #include "colorbars/runtime/seed.hpp"
@@ -47,8 +46,7 @@ SceneRunResult SceneSimulator::run_goodput(double duration_s) {
   const protocol::Packetizer packetizer(tx_config.format,
                                         csk::Constellation(config_.link.order));
   const int packet_slots = packetizer.data_packet_slots(tx_config.rs_n);
-  const auto total_slots =
-      static_cast<long long>(std::ceil(duration_s * config_.link.symbol_rate_hz));
+  const long long total_slots = core::duration_slots(duration_s, config_.link.symbol_rate_hz);
   const long long packet_count = std::max<long long>(1, total_slots / packet_slots);
 
   // Each luminaire streams its own independent payload; the draws happen

@@ -98,7 +98,8 @@ TEST(QuantizeSrgb, MatchesEncodeChainExactly) {
     const double v = rng.uniform(-0.1, 1.1);
     ASSERT_EQ(quantize_srgb_channel(v), reference(v)) << "v=" << v;
   }
-  const Rgb8 fused = quantize_srgb({0.5, 0.01, 0.99});
+  const Rgb8 fused{quantize_srgb_channel(0.5), quantize_srgb_channel(0.01),
+                  quantize_srgb_channel(0.99)};
   const Rgb8 chained = to_rgb8(srgb_encode(Vec3{0.5, 0.01, 0.99}));
   EXPECT_EQ(fused.r, chained.r);
   EXPECT_EQ(fused.g, chained.g);

@@ -148,6 +148,43 @@ TEST(LinkSimulator, EmptySerRunReportsZeroLoss) {
   EXPECT_DOUBLE_EQ(result.ser(), 0.0);
 }
 
+TEST(DurationSlots, CeilsTheSlotCountAndRejectsWhatCannotBeCast) {
+  EXPECT_EQ(duration_slots(0.0, 2000.0), 0);
+  EXPECT_EQ(duration_slots(0.5, 2000.0), 1000);
+  EXPECT_EQ(duration_slots(1e-4, 2000.0), 1);
+  const double int_max = std::numeric_limits<int>::max();
+  EXPECT_EQ(duration_slots(int_max, 1.0), std::numeric_limits<int>::max());
+  EXPECT_THROW((void)duration_slots(int_max + 1.0, 1.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double duration : {nan, inf, -inf, -1.0, -1e-9, 1e300}) {
+    EXPECT_THROW((void)duration_slots(duration, 2000.0), std::invalid_argument)
+        << "duration " << duration;
+  }
+}
+
+TEST(LinkSimulator, RejectsBadDurationsAndCountsAtEveryEntryPoint) {
+  // A NaN, infinite or huge duration would reach a float-to-int cast
+  // (undefined behaviour), a negative one a reserve of size_t(negative),
+  // and a negative symbol count std::vector's size_t constructor. The
+  // batch calls reject before their parallel region starts.
+  LinkSimulator sim(LinkConfig{});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double duration : {nan, inf, -inf, -1.0, 1e300}) {
+    EXPECT_THROW((void)sim.run_throughput(duration), std::invalid_argument)
+        << "duration " << duration;
+    EXPECT_THROW((void)sim.run_goodput(duration), std::invalid_argument)
+        << "duration " << duration;
+    EXPECT_THROW((void)sim.run_throughput_trials(2, duration), std::invalid_argument)
+        << "duration " << duration;
+    EXPECT_THROW((void)sim.run_goodput_trials(2, duration), std::invalid_argument)
+        << "duration " << duration;
+  }
+  EXPECT_THROW((void)sim.run_ser(-1), std::invalid_argument);
+  EXPECT_THROW((void)sim.run_ser_trials(2, -1), std::invalid_argument);
+}
+
 TEST(LinkSimulator, ReceiverConfigCarriesProfileFrameRate) {
   LinkConfig config;
   config.profile = camera::ideal_profile();

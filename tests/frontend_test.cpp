@@ -90,12 +90,12 @@ TEST(Frontend, CameraFrontendDecodesByteIdenticallyToDirectCapture) {
   config.source.start_offset_s = start_offset;
   frontend::CameraFrontend source(config, transmission.trace, capture_seed);
   rx::StreamingReceiver receiver(link.receiver_config());
-  const frontend::FrontendRunStats stats = frontend::run_frontend(source, receiver);
+  frontend::run_frontend(source, receiver);
 
   EXPECT_EQ(flatten_report(receiver.report()), reference);
-  EXPECT_EQ(stats.blocks, source.frames_delivered());
-  EXPECT_EQ(stats.blocks, static_cast<long long>(frames.size()));
-  EXPECT_GT(stats.observations, 0);
+  EXPECT_EQ(receiver.frames_ingested(), source.frames_delivered());
+  EXPECT_EQ(source.frames_delivered(), static_cast<long long>(frames.size()));
+  EXPECT_GT(receiver.stats().slots_ingested, 0);
   EXPECT_EQ(source.frames_dropped(), 0);  // identity channel drops nothing
 }
 
@@ -112,15 +112,15 @@ TEST(Frontend, CollectTimelineMatchesStreamedObservationCount) {
 
   frontend::CameraFrontend for_stats(config, transmission.trace, 0xabc);
   rx::StreamingReceiver receiver(link.receiver_config());
-  const frontend::FrontendRunStats stats = frontend::run_frontend(for_stats, receiver);
+  frontend::run_frontend(for_stats, receiver);
 
   frontend::CameraFrontend for_timeline(config, transmission.trace, 0xabc);
   const rx::SlotTimeline timeline = frontend::collect_timeline(for_timeline);
   const auto observed = static_cast<long long>(timeline.observed_count());
-  // Distinct observed slots can be fewer than raw observations (two
-  // bands of adjacent frames may land in one slot), never more.
+  // Distinct observed slots can be fewer than ingested observations
+  // (two bands of adjacent frames may land in one slot), never more.
   EXPECT_GT(observed, 0);
-  EXPECT_LE(observed, stats.observations);
+  EXPECT_LE(observed, receiver.stats().slots_ingested);
   EXPECT_EQ(receiver.report().slots_observed, observed);
 }
 

@@ -78,6 +78,7 @@ TEST(BufferPool, CountsHitsMissesAndPeakResidency) {
   pool.release_scratch(std::move(t));
   EXPECT_EQ(pool.stats().scratch_misses, 1);
   EXPECT_EQ(pool.stats().scratch_hits, 1);
+  EXPECT_EQ(pool.stats().outstanding_scratch, 0);
 }
 
 TEST(Pipeline, StreamedFramesMatchCaptureVideoByteForByte) {
@@ -161,6 +162,12 @@ TEST(Pipeline, SourceDrainsEveryPlannedFrameAcrossRefills) {
   EXPECT_EQ(source.refills(), (total + config.lookahead - 1) / config.lookahead);
 }
 
+/// Passes every frame through untouched.
+class PassThrough final : public pipeline::FrameStage {
+ public:
+  bool process(camera::Frame&) override { return true; }
+};
+
 /// Drops every `n`-th frame.
 class DropEveryNth final : public pipeline::FrameStage {
  public:
@@ -180,8 +187,8 @@ TEST(Pipeline, StagesCanDropFramesBeforeTheSink) {
   pipeline::FrameSource source(camera, trace, pool, {});
   CountingSink sink(pool);
   DropEveryNth drop(3);
-  pipeline::IdentityStage identity;
-  pipeline::FrameStage* stages[] = {&identity, &drop};
+  PassThrough pass;
+  pipeline::FrameStage* stages[] = {&pass, &drop};
   const pipeline::PipelineStats stats = pipeline::run_pipeline(source, stages, sink);
 
   EXPECT_GT(stats.frames_dropped, 0);

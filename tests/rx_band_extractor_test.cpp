@@ -237,7 +237,8 @@ TEST(ExtractSlots, FullFrameRoiMatchesPlainExtraction) {
   symbols[30] = ChannelSymbol::off();
   const camera::Frame frame = capture_symbols(symbols, 2000, camera::ideal_profile());
   const auto plain = extract_slots(frame, 2000);
-  const auto roi = extract_slots(frame, 2000, 0, frame.columns);
+  util::CaptureArena arena;
+  const auto roi = extract_slots(frame, 2000, 0, frame.columns, arena);
   ASSERT_EQ(roi.size(), plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(roi[i].slot, plain[i].slot);

@@ -4,6 +4,7 @@
 
 #include "colorbars/camera/camera.hpp"
 #include "colorbars/core/link.hpp"
+#include "colorbars/flicker/bloch.hpp"
 #include "colorbars/tx/transmitter.hpp"
 #include "colorbars/util/rng.hpp"
 
@@ -149,6 +150,63 @@ TEST(Receiver, DataBeforeCalibrationIsDiscarded) {
     if (record.kind == protocol::PacketKind::kData) {
       EXPECT_EQ(record.failure, PacketFailure::kNotCalibrated);
     }
+  }
+}
+
+/// The clean observation a perfect camera would produce for one
+/// transmitted channel symbol (the protocol fuzz's synthetic channel).
+SlotObservation ideal_observation(const protocol::ChannelSymbol& symbol,
+                                  const csk::Constellation& constellation,
+                                  const led::TriLed& led) {
+  SlotObservation observation;
+  const color::Lab lab =
+      flicker::radiance_to_lab(led.radiance(protocol::drive_of(symbol, constellation)));
+  observation.chroma = color::chroma_of(lab);
+  observation.lightness = lab.L;
+  observation.rgb = {lab.L / 100.0, lab.L / 100.0, lab.L / 100.0};
+  return observation;
+}
+
+TEST(Receiver, ParseDecodesDataPacketsThatPrecedeTheFirstCalibration) {
+  // The batch receiver decodes the capture offline (as the paper does
+  // for its iPhone receiver), so data packets sent before the first
+  // calibration packet must still decode against it: parse pre-scans
+  // the whole timeline for calibration before the sequential pass.
+  LinkFixture fixture;
+  const csk::Constellation constellation(fixture.tx_config.format.order);
+  const protocol::Packetizer packetizer(fixture.tx_config.format, constellation);
+  const rs::ReedSolomon code(fixture.rx_config.rs_n, fixture.rx_config.rs_k);
+
+  std::vector<protocol::ChannelSymbol> slots(20, protocol::ChannelSymbol::white());
+  std::vector<std::vector<std::uint8_t>> messages;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    messages.push_back(
+        fixture.random_payload(static_cast<std::size_t>(fixture.rx_config.rs_k), seed));
+    const auto packet = packetizer.build_data_packet(code.encode(messages.back()));
+    slots.insert(slots.end(), packet.begin(), packet.end());
+  }
+  const auto calibration = packetizer.build_calibration_packet();
+  slots.insert(slots.end(), calibration.begin(), calibration.end());
+  slots.insert(slots.end(), 20, protocol::ChannelSymbol::white());
+
+  const led::TriLed led;
+  SlotTimeline timeline;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    SlotObservation observation = ideal_observation(slots[i], constellation, led);
+    observation.slot = static_cast<long long>(i);
+    timeline.slots.emplace_back(observation);
+  }
+
+  Receiver receiver(fixture.rx_config);
+  const ReceiverReport report = receiver.parse(timeline);
+  EXPECT_EQ(report.calibration_packets, 1);
+  EXPECT_EQ(report.data_packets_failed, 0);
+  ASSERT_EQ(report.data_packets_ok, 3);
+  std::size_t next = 0;
+  for (const PacketRecord& record : report.packets) {
+    if (record.kind != protocol::PacketKind::kData) continue;
+    EXPECT_LT(record.start_slot, static_cast<long long>(slots.size() - calibration.size()));
+    EXPECT_EQ(record.payload, messages[next++]);
   }
 }
 
